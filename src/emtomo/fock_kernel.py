@@ -217,14 +217,25 @@ class BinGrid:
         edges = self.edges
         return 0.5 * (edges[:-1] + edges[1:])
 
-    def bin_indices(self, x: np.ndarray) -> np.ndarray:
-        """Map samples to bin indices; out-of-range samples map to -1."""
+    def bin_indices(self, x: np.ndarray, *, spill: int = -1,
+                    overwrite: bool = False) -> np.ndarray:
+        """Map samples to bin indices; out-of-range samples map to ``spill``.
+
+        A sample in [x_min, x_max] lands in bin floor((x - x_min) / width),
+        clamped to the last bin: x_max itself, and samples just below it
+        whose scaled offset rounds up to ``bin_count``, belong there.  With
+        ``overwrite`` a float64 ``x`` serves as the scratch buffer (its
+        contents are destroyed), which saves one sample-sized copy.
+        """
         xs = np.asarray(x, dtype=float)
-        idx = np.floor((xs - self.x_min) / self.width).astype(np.int64)
-        # right edge belongs to the last bin
-        idx[xs == self.x_max] = self.bin_count - 1
-        idx[(xs < self.x_min) | (xs > self.x_max)] = -1
-        return idx
+        outside = (xs < self.x_min) | (xs > self.x_max)
+        buf = xs if overwrite else xs.copy()
+        buf -= self.x_min
+        buf /= self.width
+        # In range buf >= 0, so the integer cast below truncates like floor.
+        np.minimum(buf, self.bin_count - 1, out=buf)
+        buf[outside] = spill
+        return buf.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -330,17 +341,29 @@ def build_kernel_matrix(
         entries = ideal
     else:
         entries = ideal @ _binomial_mixture_matrix(n_max, eta).T
-    deficits = 1.0 - entries.sum(axis=0)
-    if max_column_deficit is not None:
-        worst = int(np.argmax(deficits))
-        if deficits[worst] > max_column_deficit:
-            raise ColumnDeficitError(
-                f"kernel column n={worst} sums to {1.0 - deficits[worst]:.6g} "
-                f"(deficit {deficits[worst]:.3g} > {max_column_deficit:.3g}); "
-                "widen the bin range or lower the cutoff"
-            )
-    return KernelMatrix(grid=grid, n_max=n_max, eta=eta, entries=entries,
-                        column_deficits=deficits)
+    kernel = KernelMatrix(grid=grid, n_max=n_max, eta=eta, entries=entries,
+                          column_deficits=1.0 - entries.sum(axis=0))
+    _check_column_deficits(kernel, max_column_deficit)
+    return kernel
+
+
+def _check_column_deficits(kernel: KernelMatrix, max_column_deficit: float | None) -> None:
+    """Raise :class:`ColumnDeficitError` if a column lost more than allowed.
+
+    Both a freshly built kernel and a cached one pass through here, so a
+    cache written without the guard cannot get round it.  ``None`` skips
+    the check.
+    """
+    if max_column_deficit is None:
+        return
+    deficits = kernel.column_deficits
+    worst = int(np.argmax(deficits))
+    if deficits[worst] > max_column_deficit:
+        raise ColumnDeficitError(
+            f"kernel column n={worst} sums to {1.0 - deficits[worst]:.6g} "
+            f"(deficit {deficits[worst]:.3g} > {max_column_deficit:.3g}); "
+            "widen the bin range or lower the cutoff"
+        )
 
 
 def save_kernel(path: str, kernel: KernelMatrix) -> None:
@@ -396,11 +419,17 @@ def load_or_build_kernel(
     grid: BinGrid,
     n_max: int,
     eta: float,
+    *,
+    max_column_deficit: float | None = 1e-6,
     **build_kwargs,
 ) -> KernelMatrix:
-    """Fetch a kernel from a cache file, rebuilding on miss or key mismatch."""
+    """Fetch a kernel from a cache file, rebuilding on miss or key mismatch.
+
+    ``max_column_deficit`` guards a cache hit exactly as it guards a build.
+    """
     if path is None:
-        return build_kernel_matrix(grid, n_max, eta, **build_kwargs)
+        return build_kernel_matrix(grid, n_max, eta,
+                                   max_column_deficit=max_column_deficit, **build_kwargs)
     if os.path.exists(path):
         try:
             cached = load_kernel(path)
@@ -413,8 +442,10 @@ def load_or_build_kernel(
                 and cached.eta == float(eta)
             ):
                 logger.debug("kernel cache hit: %s", path)
+                _check_column_deficits(cached, max_column_deficit)
                 return cached
             logger.info("kernel cache %s keyed differently; rebuilding", path)
-    kernel = build_kernel_matrix(grid, n_max, eta, **build_kwargs)
+    kernel = build_kernel_matrix(grid, n_max, eta,
+                                 max_column_deficit=max_column_deficit, **build_kwargs)
     save_kernel(path, kernel)
     return kernel

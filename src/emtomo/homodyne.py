@@ -343,11 +343,20 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     The shift centers the statistics of the state displaced by -(q + ip)
     (in phase-space coordinates), which is what makes a single phase-averaged
     histogram carry the displaced photon-number distribution.
+
+    The shift is evaluated once per run of equal phases and repeated over the
+    run, which gives every sample the same value as evaluating it sample by
+    sample.  Records whose phases come in runs (as :func:`sample_homodyne`
+    writes them) thus skip the per-sample cos and sin; other records take
+    the same path and get the same counts, without the saving.
     """
-    shift = np.sqrt(record.eta) * (
-        q * np.cos(record.thetas) + p * np.sin(record.thetas)
-    )
-    hist = Histogram.from_samples(grid, record.xs - shift)
+    thetas = record.thetas
+    starts = np.append(0, np.flatnonzero(thetas[1:] != thetas[:-1]) + 1)
+    run_thetas = thetas[starts]
+    run_shift = np.sqrt(record.eta) * (q * np.cos(run_thetas) + p * np.sin(run_thetas))
+    shifted = np.repeat(run_shift, np.diff(starts, append=thetas.size))
+    np.subtract(record.xs, shifted, out=shifted)
+    hist = Histogram.from_samples(grid, shifted, overwrite=True)
     if hist.total == 0:
         raise EmptyHistogramError(
             "every shifted sample fell outside the bin grid"

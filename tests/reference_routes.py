@@ -6,6 +6,11 @@ rather than displaced photon statistics, displacement matrices come
 from exponentiating the generator on a padded space rather than Laguerre
 polynomials, and the mass a lossy Fock density leaves outside a window comes
 from adaptive quadrature of its tails rather than from binned kernels.
+
+Two routes restate production arithmetic the slow, obvious way, so that a
+faster production path can be required to match them bit for bit: an EM
+loop that never flushes subnormal entries and allocates every temporary, and
+a shifted histogram that evaluates cos and sin at every sample.
 """
 
 import numpy as np
@@ -79,3 +84,42 @@ def lossy_fock_mass_outside(n_max: int, eta: float, half_width: float) -> np.nda
                  + k * np.log(eta) + (n - k) * np.log1p(-eta))
         out[n] = float(np.sum(np.exp(log_w) * tails[: n + 1]))
     return out
+
+
+def em_unflushed(counts: np.ndarray, entries: np.ndarray, iterations: int):
+    """Plain EM from the flat start: (rho, final log-likelihood).
+
+    The iterate rho <- rho * A^T (p / A rho), renormalized by its sum, runs
+    on the bins with counts exactly as the textbook loop writes it: every
+    product is a fresh array, no buffer is reused, and entries that decay
+    into subnormal floats are left in place rather than flushed to zero.
+    It calls nothing in ``emtomo.em``.
+    """
+    p = counts / counts.sum()
+    active = p > 0
+    a_act = np.ascontiguousarray(entries[active])
+    p_act = p[active]
+    dim = entries.shape[1]
+    rho = np.full(dim, 1.0 / dim)
+    for _ in range(iterations):
+        rho = rho * (a_act.T @ (p_act / (a_act @ rho)))
+        rho /= rho.sum()
+    return rho, float(p_act @ np.log(a_act @ rho))
+
+
+def shifted_histogram_per_sample(thetas, xs, eta, q, p, x_min, x_max, bin_count):
+    """Counts and overflow of x - sqrt(eta)(q cos theta + p sin theta).
+
+    cos and sin are evaluated at every sample (no grouping of equal phases),
+    and bins come from explicit range tests on each shifted sample:
+    x in [x_min, x_max] lands in floor((x - x_min) / width), clamped to the
+    last bin, anything else counts as overflow.  It calls nothing in
+    ``emtomo.fock_kernel`` or ``emtomo.homodyne``.
+    """
+    x = xs - np.sqrt(eta) * (q * np.cos(thetas) + p * np.sin(thetas))
+    width = (x_max - x_min) / bin_count
+    inside = (x >= x_min) & (x <= x_max)
+    idx = np.floor((x[inside] - x_min) / width).astype(np.int64)
+    counts = np.zeros(bin_count, dtype=np.int64)
+    np.add.at(counts, np.minimum(idx, bin_count - 1), 1)
+    return counts, int(np.count_nonzero(~inside))

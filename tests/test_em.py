@@ -134,6 +134,22 @@ def test_em_step_keeps_zeros_and_simplex():
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_em_step_flushes_subnormal_entries_and_rejects_nan_model():
+    rng = np.random.default_rng(6)
+    a, _truth, p = random_instance(rng, 30, 7)
+    rho = np.full(7, 1.0 / 6)
+    rho[3] = 1e-310  # subnormal: stays below the smallest normal after one step
+    out = em_step_frequencies(p, a, rho)
+    assert out[3] == 0.0
+    assert np.all(out[np.arange(7) != 3] > 0.0)
+    rho[3] = np.nan
+    with pytest.raises(ModelZeroError):
+        em_step_frequencies(p, a, rho)
+    # no bin with counts: nothing supports rho
+    with pytest.raises(ModelZeroError):
+        em_step_frequencies(np.zeros(30), a, np.full(7, 1.0 / 7))
+
+
 def test_em_exact_model_is_fixed_point():
     rng = np.random.default_rng(99)
     for _ in range(20):

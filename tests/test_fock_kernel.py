@@ -190,6 +190,19 @@ def test_kernel_cache_hit_and_key_mismatch(tmp_path):
     assert load_kernel(path).n_max == 6
 
 
+def test_kernel_cache_hit_keeps_column_deficit_guard(tmp_path):
+    path = os.fspath(tmp_path / "clipped.bin")
+    grid = BinGrid(-2.0, 2.0, 200)
+    built = load_or_build_kernel(path, grid, 30, 0.9, max_column_deficit=None)
+    assert built.column_deficits[30] > 0.5
+    with pytest.raises(ColumnDeficitError):
+        load_or_build_kernel(path, grid, 30, 0.9, max_column_deficit=1e-6)
+    with pytest.raises(ColumnDeficitError):
+        load_or_build_kernel(path, grid, 30, 0.9)
+    hit = load_or_build_kernel(path, grid, 30, 0.9, max_column_deficit=None)
+    assert np.array_equal(hit.entries, built.entries)
+
+
 def test_kernel_cache_rejects_malformed_files(tmp_path):
     short = os.fspath(tmp_path / "short.bin")
     open(short, "wb").write(b"EMTKERN1")

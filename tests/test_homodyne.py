@@ -287,6 +287,19 @@ def test_shift_overflow_counted_and_empty_rejected():
         shift_and_histogram(record, 50.0, 0.0, grid)
 
 
+def test_shift_sample_just_below_right_edge_lands_in_last_bin():
+    # on this grid (x - x_min) / width rounds up to bin_count for this sample
+    below = np.nextafter(8.0, -np.inf)
+    record = HomodyneRecord(
+        eta=0.9, thetas=np.array([0.3, 0.3, 0.3]),
+        xs=np.array([below, 8.0, 0.0]), seed=0,
+    )
+    hist = shift_and_histogram(record, 0.0, 0.0, BinGrid(-8.0, 8.0, 16_000))
+    assert hist.counts[-1] == 2
+    assert hist.total == 3
+    assert hist.overflow == 0
+
+
 # ---------------------------------------------------------------- record files
 
 

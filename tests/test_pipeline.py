@@ -154,6 +154,23 @@ def test_grid_all_points_failing_raises(vacuum_record):
         reconstruct_wigner_grid(vacuum_record, cfg, kernel=kernel)
 
 
+def test_grid_scan_survives_sample_just_below_right_edge():
+    base = sample_homodyne(vacuum_state(), 2, 5_000, 1.0, 7)
+    record = HomodyneRecord(
+        eta=1.0, thetas=np.append(base.thetas, 0.0),
+        xs=np.append(base.xs, np.nextafter(8.0, -np.inf)), seed=7,
+    )
+    config = ReconstructionConfig(
+        eta=1.0, x_min=-8.0, x_max=8.0, bin_count=16_000, n_max=4,
+        max_iter=200, q_min=0.0, q_max=0.0, q_steps=1,
+        p_min=0.0, p_max=0.0, p_steps=1,
+    )
+    grid = reconstruct_wigner_grid(record, config)
+    assert not grid.failures
+    assert grid.overflow_fraction[0, 0] == 0.0
+    assert abs(grid.values[0, 0] - ONE_OVER_PI) < 0.02
+
+
 def test_grid_eta_mismatch_rejected(vacuum_record):
     cfg = small_config(eta=0.9)
     with pytest.raises(ValidationError):
