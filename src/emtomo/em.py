@@ -16,12 +16,15 @@ The update is multiplicative, so photon levels the data does not support
 shrink geometrically and, after a few hundred iterations, fall below the
 smallest normal float (``np.finfo(float).tiny``, about 2.2e-308).  Products
 with such subnormal entries are many times slower on common CPUs, so each
-renormalized iterate flushes them to exactly 0.0.  This changes no normal
-entry: a flushed entry times a kernel value (at most 1) adds less than half
-an ulp to every model value (A rho)_nu, to the iterate's sum and to the
-parity sum of a Wigner value, so those, every log-likelihood and every later
-normal entry come out bit-identical to the unflushed iteration.  A level
-once flushed stays at zero, as it would under the update anyway.
+renormalized iterate flushes them to exactly 0.0.  A flushed entry times a
+kernel value (at most 1) adds less than half an ulp to every model value
+(A rho)_nu, to the iterate's sum and to the parity sum of a Wigner value,
+so those, every log-likelihood and every later normal entry come out
+bit-identical to the unflushed iteration, as long as no flushed level would
+have grown back to a normal float.  That is not guaranteed in general (the
+update scales an entry by its gradient over the iterate's sum, which can
+exceed 1); ``tests/test_bit_identity.py`` checks it against the unflushed
+loop on the criterion-5 record.
 """
 
 from __future__ import annotations
@@ -74,14 +77,8 @@ class Histogram:
         self.overflow = int(self.overflow)
 
     @classmethod
-    def from_samples(cls, grid: BinGrid, samples, *,
-                     overwrite: bool = False) -> "Histogram":
-        """Bin samples; ``overwrite`` lets a float64 ``samples`` be used as scratch."""
-        xs = np.asarray(samples, dtype=float).ravel()
-        # out-of-range samples go to one spill bin past the grid
-        idx = grid.bin_indices(xs, spill=grid.bin_count, overwrite=overwrite)
-        counts = np.bincount(idx, minlength=grid.bin_count + 1)
-        return cls(grid=grid, counts=counts[:-1], overflow=int(counts[-1]))
+    def from_samples(cls, grid: BinGrid, samples) -> "Histogram":
+        return _histogram_into(grid, np.array(samples, dtype=float).ravel())
 
     @property
     def total(self) -> int:
@@ -93,6 +90,24 @@ class Histogram:
         if total == 0:
             raise EmptyHistogramError("histogram holds no counts")
         return self.counts / total
+
+
+def _histogram_into(grid: BinGrid, buf: np.ndarray) -> Histogram:
+    """Histogram of the float64 samples in ``buf``, which serves as scratch.
+
+    Bins are those of :meth:`BinGrid.bin_indices`, computed in place; samples
+    outside [x_min, x_max] (NaN included) go to one spill bin past the grid,
+    so a single bincount yields both the counts and the overflow.  The
+    contents of ``buf`` are destroyed.
+    """
+    outside = ~((buf >= grid.x_min) & (buf <= grid.x_max))
+    buf -= grid.x_min
+    buf /= grid.width
+    # In range buf >= 0, so the integer cast below truncates like floor.
+    np.minimum(buf, grid.bin_count - 1, out=buf)
+    buf[outside] = grid.bin_count
+    counts = np.bincount(buf.astype(np.int64), minlength=grid.bin_count + 1)
+    return Histogram(grid=grid, counts=counts[:-1], overflow=int(counts[-1]))
 
 
 @dataclass
@@ -164,15 +179,22 @@ def _check_pair(frequencies: np.ndarray, entries: np.ndarray, rho: np.ndarray):
     return p, a, r
 
 
+def _check_model(model: np.ndarray) -> None:
+    """Raise :class:`ModelZeroError` unless every model value is positive.
+
+    A NaN compares false and is caught too; an empty model (no bin with
+    counts) passes.
+    """
+    if not model.min(initial=np.inf) > 0.0:
+        raise ModelZeroError("model density vanishes on a bin with observed counts")
+
+
 def log_likelihood_frequencies(frequencies, entries, rho) -> float:
     """L = sum_nu p_nu ln (A rho)_nu with the 0 ln 0 convention."""
     p, a, r = _check_pair(frequencies, entries, rho)
     active = p > 0
     model = a[active] @ r
-    if np.any(model <= 0.0):
-        raise ModelZeroError(
-            "model density vanishes on a bin with observed counts"
-        )
+    _check_model(model)
     return float(p[active] @ np.log(model))
 
 
@@ -184,13 +206,11 @@ def _em_iterate(a_act: np.ndarray, p_act: np.ndarray, rho: np.ndarray,
     with counts; ``model`` (one entry per such bin) and ``grad`` (one per
     photon level) are scratch buffers the caller reuses across iterations.
     Entries that fall below the smallest normal float are flushed to zero
-    (see the module docstring for why that is exact).
+    (see the module docstring for when that is exact).
     """
     np.dot(a_act, rho, out=model)
-    # A NaN model compares false and is caught too; with no bins at all
-    # the update annihilates rho and the check below reports it.
-    if not model.min(initial=np.inf) > 0.0:
-        raise ModelZeroError("model density vanishes on a bin with observed counts")
+    # with no bins at all the update annihilates rho; the sum check reports it
+    _check_model(model)
     np.divide(p_act, model, out=model)
     np.dot(a_act.T, model, out=grad)
     rho *= grad
@@ -278,8 +298,7 @@ def reconstruct_photon_distribution(
 
     def loglik(r: np.ndarray) -> float:
         model = a_act @ r
-        if np.any(model <= 0.0):
-            raise ModelZeroError("model density vanishes on a bin with observed counts")
+        _check_model(model)
         return float(p_act @ np.log(model))
 
     trace_its = [0]

@@ -40,6 +40,10 @@ logger = logging.getLogger(__name__)
 # passed a nonsense cutoff; refuse instead of burning memory.
 MAX_FOCK_N = 10_000
 
+# Largest share of its mass a kernel column may lose to the finite bin range
+# before a build or a cache hit is refused.
+DEFAULT_MAX_COLUMN_DEFICIT = 1e-6
+
 _KERNEL_MAGIC = b"EMTKERN1"
 _KERNEL_VERSION = 1
 _KERNEL_HEADER = struct.Struct("<8sIIddqqd8x")  # 64 bytes
@@ -217,25 +221,17 @@ class BinGrid:
         edges = self.edges
         return 0.5 * (edges[:-1] + edges[1:])
 
-    def bin_indices(self, x: np.ndarray, *, spill: int = -1,
-                    overwrite: bool = False) -> np.ndarray:
-        """Map samples to bin indices; out-of-range samples map to ``spill``.
+    def bin_indices(self, x: np.ndarray) -> np.ndarray:
+        """Map samples to bin indices; out-of-range and NaN samples map to -1.
 
         A sample in [x_min, x_max] lands in bin floor((x - x_min) / width),
         clamped to the last bin: x_max itself, and samples just below it
-        whose scaled offset rounds up to ``bin_count``, belong there.  With
-        ``overwrite`` a float64 ``x`` serves as the scratch buffer (its
-        contents are destroyed), which saves one sample-sized copy.
+        whose scaled offset rounds up to ``bin_count``, belong there.
         """
         xs = np.asarray(x, dtype=float)
-        outside = (xs < self.x_min) | (xs > self.x_max)
-        buf = xs if overwrite else xs.copy()
-        buf -= self.x_min
-        buf /= self.width
-        # In range buf >= 0, so the integer cast below truncates like floor.
-        np.minimum(buf, self.bin_count - 1, out=buf)
-        buf[outside] = spill
-        return buf.astype(np.int64)
+        pos = np.minimum(np.floor((xs - self.x_min) / self.width), self.bin_count - 1)
+        pos[~((xs >= self.x_min) & (xs <= self.x_max))] = -1
+        return pos.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -289,7 +285,7 @@ def build_kernel_matrix(
     n_max: int,
     eta: float,
     *,
-    max_column_deficit: float | None = 1e-6,
+    max_column_deficit: float | None = DEFAULT_MAX_COLUMN_DEFICIT,
     initial_quad_order: int = 8,
     quad_tol: float = 1e-12,
 ) -> KernelMatrix:
@@ -420,7 +416,7 @@ def load_or_build_kernel(
     n_max: int,
     eta: float,
     *,
-    max_column_deficit: float | None = 1e-6,
+    max_column_deficit: float | None = DEFAULT_MAX_COLUMN_DEFICIT,
     **build_kwargs,
 ) -> KernelMatrix:
     """Fetch a kernel from a cache file, rebuilding on miss or key mismatch.

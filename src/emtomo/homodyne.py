@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .em import Histogram
+from .em import Histogram, _histogram_into
 from .errors import (
     EmptyHistogramError,
     FileFormatError,
@@ -344,19 +344,30 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     (in phase-space coordinates), which is what makes a single phase-averaged
     histogram carry the displaced photon-number distribution.
 
-    The shift is evaluated once per run of equal phases and repeated over the
-    run, which gives every sample the same value as evaluating it sample by
-    sample.  Records whose phases come in runs (as :func:`sample_homodyne`
-    writes them) thus skip the per-sample cos and sin; other records take
-    the same path and get the same counts, without the saving.
+    Where the phases come in runs (as :func:`sample_homodyne` writes them,
+    at least two samples per run on average) the shift is evaluated once
+    per run and repeated over it; otherwise cos and sin are evaluated at
+    every sample, in place.  Both routes do the same arithmetic for every
+    sample, so the counts do not depend on the route.
     """
     thetas = record.thetas
-    starts = np.append(0, np.flatnonzero(thetas[1:] != thetas[:-1]) + 1)
-    run_thetas = thetas[starts]
-    run_shift = np.sqrt(record.eta) * (q * np.cos(run_thetas) + p * np.sin(run_thetas))
-    shifted = np.repeat(run_shift, np.diff(starts, append=thetas.size))
+    change = thetas[1:] != thetas[:-1]
+    scale = np.sqrt(record.eta)
+    if 2 * (np.count_nonzero(change) + 1) <= thetas.size:
+        starts = np.flatnonzero(np.concatenate(([True], change)))
+        run_thetas = thetas[starts]
+        run_shift = scale * (q * np.cos(run_thetas) + p * np.sin(run_thetas))
+        shifted = np.repeat(run_shift, np.diff(starts, append=thetas.size))
+    else:
+        shifted = np.cos(thetas)
+        shifted *= q
+        sin_term = np.sin(thetas)
+        sin_term *= p
+        shifted += sin_term
+        del sin_term
+        shifted *= scale
     np.subtract(record.xs, shifted, out=shifted)
-    hist = Histogram.from_samples(grid, shifted, overwrite=True)
+    hist = _histogram_into(grid, shifted)
     if hist.total == 0:
         raise EmptyHistogramError(
             "every shifted sample fell outside the bin grid"

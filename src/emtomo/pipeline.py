@@ -30,7 +30,12 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock_kernel import BinGrid, KernelMatrix, load_or_build_kernel
+from .fock_kernel import (
+    DEFAULT_MAX_COLUMN_DEFICIT,
+    BinGrid,
+    KernelMatrix,
+    load_or_build_kernel,
+)
 from .homodyne import HomodyneRecord, StateSpec, shift_and_histogram
 from .oracle import _displaced_diagonals
 
@@ -76,7 +81,7 @@ class ReconstructionConfig:
     record_path: str | None = None
     output_path: str | None = None
     kernel_cache: str | None = None
-    max_column_deficit: float | None = 1e-6
+    max_column_deficit: float | None = DEFAULT_MAX_COLUMN_DEFICIT
 
     def __post_init__(self):
         if not 0.0 < float(self.eta) <= 1.0:

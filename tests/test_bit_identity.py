@@ -73,10 +73,12 @@ def test_grouped_shift_matches_per_sample_histogram(cat_record):
     assert overflows[0] == 0 and overflows[-1] > 0
 
 
-def test_per_sample_phases_match_per_sample_histogram():
+@pytest.mark.parametrize("run_length", [1, 2])
+def test_per_sample_phases_match_per_sample_histogram(run_length):
+    # run length 1 takes the per-sample route, 2 the shortest grouped one
     rng = np.random.default_rng(4321)
     record = HomodyneRecord(
-        eta=0.8, thetas=rng.uniform(0.0, np.pi, 50_000),
+        eta=0.8, thetas=np.repeat(rng.uniform(0.0, np.pi, 50_000 // run_length), run_length),
         xs=rng.normal(0.0, 2.0, 50_000), seed=0,
     )
     grid = BinGrid(-6.0, 6.0, 1_200)

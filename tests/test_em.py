@@ -52,6 +52,16 @@ def test_histogram_from_samples_counts_and_overflow():
     assert hist.frequencies().sum() == pytest.approx(1.0, abs=1e-15)
 
 
+def test_histogram_from_samples_counts_nan_as_overflow():
+    grid = BinGrid(-1.0, 1.0, 4)
+    samples = np.array([np.nan, 0.1, np.inf, -np.inf, 1.0])
+    hist = Histogram.from_samples(grid, samples)
+    assert list(hist.counts) == [0, 0, 1, 1]
+    assert hist.overflow == 3
+    # the caller's samples are left as they were
+    assert np.isnan(samples[0]) and samples[1] == 0.1
+
+
 def test_histogram_validation():
     grid = BinGrid(-1.0, 1.0, 3)
     with pytest.raises(ValidationError):
@@ -148,6 +158,11 @@ def test_em_step_flushes_subnormal_entries_and_rejects_nan_model():
     # no bin with counts: nothing supports rho
     with pytest.raises(ModelZeroError):
         em_step_frequencies(np.zeros(30), a, np.full(7, 1.0 / 7))
+
+
+def test_log_likelihood_rejects_nan_model():
+    with pytest.raises(ModelZeroError):
+        log_likelihood_frequencies([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]], [np.nan, 1.0])
 
 
 def test_em_exact_model_is_fixed_point():

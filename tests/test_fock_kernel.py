@@ -120,6 +120,13 @@ def test_bin_grid_basics():
         BinGrid(-1.0, 1.0, 0)
 
 
+def test_bin_indices_clamp_to_last_bin_and_send_nan_out():
+    grid = BinGrid(-8.0, 8.0, 16_000)
+    below = np.nextafter(8.0, -np.inf)
+    idx = grid.bin_indices(np.array([below, 8.0, np.nan, np.inf]))
+    assert list(idx) == [15_999, 15_999, -1, -1]
+
+
 def test_kernel_mirror_symmetry_is_exact():
     grid = BinGrid(-7.0, 7.0, 350)
     kernel = build_kernel_matrix(grid, 12, 0.85)

@@ -287,6 +287,14 @@ def test_shift_overflow_counted_and_empty_rejected():
         shift_and_histogram(record, 50.0, 0.0, grid)
 
 
+def test_shift_by_nan_counts_every_sample_as_overflow():
+    record = HomodyneRecord(
+        eta=1.0, thetas=np.array([0.0, 0.0, 0.5]), xs=np.array([0.0, 0.1, 0.2]), seed=0,
+    )
+    with pytest.raises(EmptyHistogramError):
+        shift_and_histogram(record, np.nan, 0.0, BinGrid(-1.0, 1.0, 10))
+
+
 def test_shift_sample_just_below_right_edge_lands_in_last_bin():
     # on this grid (x - x_min) / width rounds up to bin_count for this sample
     below = np.nextafter(8.0, -np.inf)
