@@ -31,6 +31,7 @@ from .homodyne import (
 )
 from .pipeline import (
     ReconstructionConfig,
+    _read_config_object,
     compare_wigner_grids,
     load_wigner_grid,
     oracle_wigner_grid,
@@ -142,9 +143,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
-    data = {}
-    if args.config:
-        data = ReconstructionConfig.from_file(args.config).to_dict()
+    # Validated once, after the file, the flags and the record's eta merge.
+    data = _read_config_object(args.config) if args.config else {}
     overrides = {
         "eta": args.eta, "x_min": args.x_min, "x_max": args.x_max,
         "bin_count": args.bin_count, "n_max": args.n_max,
@@ -163,7 +163,8 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     if data.get("record_path") is None:
         raise ValidationError("no record file given (--record or config record_path)")
     record = load_record(data["record_path"])
-    data.setdefault("eta", record.eta)
+    if data.get("eta") is None:
+        data["eta"] = record.eta
     if data.get("n_max") is None and data.get("localization_radius") is None:
         raise ValidationError("set --n-max or --localization-radius (or via config)")
     config = ReconstructionConfig.from_dict(data)

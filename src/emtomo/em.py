@@ -151,16 +151,6 @@ class EmDiagnostics:
     stop_reason: str
     renorm_correction: float = 0.0  # largest |1 - sum| absorbed by renormalization
 
-    def as_table(self) -> str:
-        lines = ["# iteration loglik"]
-        for it, ll in zip(self.trace_iterations, self.loglik_trace):
-            lines.append(f"{int(it)} {ll:.17g}")
-        return "\n".join(lines) + "\n"
-
-    def save_table(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.as_table())
-
 
 def _check_pair(frequencies: np.ndarray, entries: np.ndarray, rho: np.ndarray):
     p = np.asarray(frequencies, dtype=float)

@@ -19,17 +19,20 @@ of variance (1-eta)/2) is provided as an independent cross-check route.
 
 A :class:`KernelMatrix` collects per-bin integrals A[nu][n] of A_n over a
 uniform :class:`BinGrid`; these are the response matrices consumed by the
-expectation-maximization reconstruction.
+expectation-maximization reconstruction.  Their bin integrals are exact
+differences of an erfc-based upper-tail recurrence; no quadrature is involved.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import erfc
 from scipy.stats import binom
 
 from .errors import ColumnDeficitError, CutoffTooLargeError, FileFormatError, ValidationError
@@ -39,6 +42,10 @@ logger = logging.getLogger(__name__)
 # Above this the recurrence is still finite but callers almost certainly
 # passed a nonsense cutoff; refuse instead of burning memory.
 MAX_FOCK_N = 10_000
+
+# Nodes and half-width (in sigmas) of the convolution route's Gaussian window.
+CONVOLUTION_QUAD_ORDER = 200
+CONVOLUTION_TAIL_SIGMAS = 10.0
 
 # Largest share of its mass a kernel column may lose to the finite bin range
 # before a build or a cache hit is refused.
@@ -124,7 +131,10 @@ def _binomial_mixture_matrix(n_max: int, eta: float) -> np.ndarray:
     return m
 
 
-def _check_eta(eta: float) -> float:
+def _check_eta(eta) -> float:
+    """The one efficiency check: a real number (not a bool) in (0, 1]."""
+    if isinstance(eta, bool) or not isinstance(eta, numbers.Real):
+        raise ValidationError(f"efficiency must be a number, got {eta!r}")
     eta = float(eta)
     if not 0.0 < eta <= 1.0:
         raise ValidationError(f"efficiency must lie in (0, 1], got {eta}")
@@ -148,9 +158,7 @@ def lossy_fock_quadrature_density(n: int, x, eta: float):
     return out if np.ndim(x) else float(out)
 
 
-def lossy_fock_quadrature_density_convolution(
-    n: int, x, eta: float, *, quad_order: int = 200, tail_sigmas: float = 10.0
-):
+def lossy_fock_quadrature_density_convolution(n: int, x, eta: float):
     """Same density as :func:`lossy_fock_quadrature_density`, via smearing.
 
     Direct numerical convolution of eta^{-1/2} psi_n(x'/sqrt(eta))^2 with a
@@ -169,14 +177,14 @@ def lossy_fock_quadrature_density_convolution(
     sigma = np.sqrt(var)
     # Integrate over the Gaussian window; the ideal density is bounded so a
     # +-10 sigma window leaves a tail far below 1e-12.
-    t, w = np.polynomial.legendre.leggauss(quad_order)
-    u = tail_sigmas * sigma * t  # offsets from x
+    t, w = np.polynomial.legendre.leggauss(CONVOLUTION_QUAD_ORDER)
+    u = CONVOLUTION_TAIL_SIGMAS * sigma * t  # offsets from x
     gauss = np.exp(-(u * u) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-    pts = xs[..., None] - u  # shape x-shape + (quad_order,)
+    pts = xs[..., None] - u  # shape x-shape + (quad order,)
     psi = fock_wavefunction(n, (pts / np.sqrt(eta)).ravel())
     # density of the eta-scaled variable: psi_n(x'/sqrt(eta))^2 / sqrt(eta)
     ideal = np.reshape(np.asarray(psi) ** 2, pts.shape) / np.sqrt(eta)
-    out = (tail_sigmas * sigma) * np.sum(w * gauss * ideal, axis=-1)
+    out = (CONVOLUTION_TAIL_SIGMAS * sigma) * np.sum(w * gauss * ideal, axis=-1)
     return out if np.ndim(x) else float(out)
 
 
@@ -251,33 +259,29 @@ class KernelMatrix:
                 f"kernel entries shape {self.entries.shape} != {expected}"
             )
 
-    @property
-    def column_sums(self) -> np.ndarray:
-        return 1.0 - self.column_deficits
 
+def _ideal_bin_integrals(grid: BinGrid, n_max: int) -> np.ndarray:
+    """Exact per-bin integrals of psi_n^2, shape (bins, n_max+1).
 
-def _ideal_bin_integrals(grid: BinGrid, n_max: int, order: int) -> np.ndarray:
-    """Per-bin Gauss-Legendre integrals of psi_n^2, shape (bins, n_max+1).
-
-    Nodes and weights are symmetrized and each bin's quadrature sum is folded
-    over node pairs (j, order-1-j) before accumulation, so that on a
-    symmetric grid mirror bins produce bit-identical rows.
+    The upper tail G_n(x) = int_x^inf psi_n^2 obeys G_0 = erfc(x)/2 and
+    G_n = G_{n-1} + psi_n psi_{n-1} / sqrt(2n).  A bin [a, b] holds
+    G(a) - G(b) for a >= 0, G(|b|) - G(|a|) for b <= 0 and 1 - G(|a|) - G(b)
+    when it straddles 0.  Only |edges| enter, so no tail is found by
+    subtracting from 1 and mirror bins of a symmetric grid get bit-identical
+    rows.
     """
-    t, w = np.polynomial.legendre.leggauss(order)
-    t = 0.5 * (t - t[::-1])
-    w = 0.5 * (w + w[::-1])
     edges = grid.edges
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * grid.width
-    pts = centers[:, None] + half * t[None, :]  # (bins, order)
-    psi2 = fock_wavefunctions(n_max, pts.ravel()) ** 2
-    psi2 = psi2.reshape(n_max + 1, grid.bin_count, order)
-    vals = w[None, None, :] * psi2
-    h = order // 2
-    folded = vals[..., :h] + vals[..., ::-1][..., :h]
-    if order % 2:
-        folded = np.concatenate([folded, vals[..., h : h + 1]], axis=-1)
-    return half * np.sum(folded, axis=-1).T  # (bins, n_max+1)
+    x = np.abs(edges)
+    psi = fock_wavefunctions(n_max, x)
+    tails = np.empty_like(psi)
+    tails[0] = 0.5 * erfc(x)
+    tails[1:] = psi[1:] * psi[:-1] / np.sqrt(2.0 * np.arange(1, n_max + 1))[:, None]
+    np.cumsum(tails, axis=0, out=tails)  # row n is G_n
+    left, right = tails[:, :-1], tails[:, 1:]
+    out = np.where(edges[:-1] >= 0.0, left - right, right - left)
+    straddle = (edges[:-1] < 0.0) & (edges[1:] > 0.0)
+    out[:, straddle] = 1.0 - left[:, straddle] - right[:, straddle]
+    return out.T
 
 
 def build_kernel_matrix(
@@ -286,10 +290,11 @@ def build_kernel_matrix(
     eta: float,
     *,
     max_column_deficit: float | None = DEFAULT_MAX_COLUMN_DEFICIT,
-    initial_quad_order: int = 8,
-    quad_tol: float = 1e-12,
 ) -> KernelMatrix:
     """Integrate the lossy Fock densities over every bin of a grid.
+
+    The bin integrals of psi_k^2 are exact (:func:`_ideal_bin_integrals`)
+    and the lossy columns are their binomial mixtures.
 
     Parameters
     ----------
@@ -305,10 +310,6 @@ def build_kernel_matrix(
         probability when the grid does not cover the cutoff's support.  Pass
         ``None`` to skip the check, e.g. to reproduce published runs whose
         grid clips the highest columns.
-    initial_quad_order : int
-        Starting Gauss-Legendre order; doubled until entries move < quad_tol.
-    quad_tol : float
-        Convergence tolerance for the order-doubling loop.
 
     Returns
     -------
@@ -316,23 +317,7 @@ def build_kernel_matrix(
     """
     n_max = _check_order_n(n_max)
     eta = _check_eta(eta)
-    order = max(2, int(initial_quad_order))
-    if order % 2:
-        order += 1
-    ideal = _ideal_bin_integrals(grid, n_max, order)
-    while True:
-        order *= 2
-        if order > 512:
-            raise ValidationError(
-                "bin quadrature did not converge; bins are too coarse for "
-                f"n_max={n_max}"
-            )
-        refined = _ideal_bin_integrals(grid, n_max, order)
-        delta = float(np.max(np.abs(refined - ideal)))
-        ideal = refined
-        if delta < quad_tol:
-            break
-    logger.debug("kernel quadrature converged at order %d (delta %.3g)", order, delta)
+    ideal = _ideal_bin_integrals(grid, n_max)
     if eta == 1.0:
         entries = ideal
     else:
@@ -362,6 +347,22 @@ def _check_column_deficits(kernel: KernelMatrix, max_column_deficit: float | Non
         )
 
 
+def _write_atomically(path: str, data: bytes) -> None:
+    """Replace ``path`` with ``data`` via a temporary file in the same directory.
+
+    A reader sees the old file or the new one, never a partial write; a
+    failure leaves the old file intact and removes the temporary file.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_kernel(path: str, kernel: KernelMatrix) -> None:
     """Write a kernel to the binary cache format.
 
@@ -379,9 +380,7 @@ def save_kernel(path: str, kernel: KernelMatrix) -> None:
         kernel.n_max,
         kernel.eta,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(kernel.entries, dtype="<f8").tobytes())
+    _write_atomically(path, header + np.ascontiguousarray(kernel.entries, dtype="<f8").tobytes())
 
 
 def load_kernel(path: str) -> KernelMatrix:
@@ -417,15 +416,13 @@ def load_or_build_kernel(
     eta: float,
     *,
     max_column_deficit: float | None = DEFAULT_MAX_COLUMN_DEFICIT,
-    **build_kwargs,
 ) -> KernelMatrix:
     """Fetch a kernel from a cache file, rebuilding on miss or key mismatch.
 
     ``max_column_deficit`` guards a cache hit exactly as it guards a build.
     """
     if path is None:
-        return build_kernel_matrix(grid, n_max, eta,
-                                   max_column_deficit=max_column_deficit, **build_kwargs)
+        return build_kernel_matrix(grid, n_max, eta, max_column_deficit=max_column_deficit)
     if os.path.exists(path):
         try:
             cached = load_kernel(path)
@@ -441,7 +438,6 @@ def load_or_build_kernel(
                 _check_column_deficits(cached, max_column_deficit)
                 return cached
             logger.info("kernel cache %s keyed differently; rebuilding", path)
-    kernel = build_kernel_matrix(grid, n_max, eta,
-                                 max_column_deficit=max_column_deficit, **build_kwargs)
+    kernel = build_kernel_matrix(grid, n_max, eta, max_column_deficit=max_column_deficit)
     save_kernel(path, kernel)
     return kernel

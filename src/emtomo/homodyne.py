@@ -29,7 +29,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock_kernel import BinGrid, fock_wavefunctions
+from .fock_kernel import BinGrid, _check_eta, fock_wavefunctions
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +41,8 @@ _RECORD_HEADER = struct.Struct("<8sIIdqq64s")
 STATE_TAIL_TOL = 1e-10
 # Density mass allowed outside the tabulated sampling range.
 TAB_TAIL_TOL = 1e-9
+# Spacing of the sampling density table.
+TAB_STEP = 1e-3
 
 
 @dataclass
@@ -180,9 +182,7 @@ def apply_loss_channel(state: StateSpec, eta: float) -> StateSpec:
     (L_eta rho)_{mn} = sum_k sqrt(C(m+k,k) C(n+k,k)) eta^{(m+n)/2} (1-eta)^k
     rho_{m+k, n+k}; trace is preserved to machine precision.
     """
-    eta = float(eta)
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"efficiency must lie in (0, 1], got {eta}")
+    eta = _check_eta(eta)
     if eta == 1.0:
         return StateSpec(dim=state.dim, rho=state.rho.copy())
     d = state.dim
@@ -221,9 +221,7 @@ class HomodyneRecord:
     source: str = ""
 
     def __post_init__(self):
-        self.eta = float(self.eta)
-        if not 0.0 < self.eta <= 1.0:
-            raise ValidationError(f"record efficiency must lie in (0, 1], got {self.eta}")
+        self.eta = _check_eta(self.eta)
         thetas = np.asarray(self.thetas, dtype=float).ravel()
         xs = np.asarray(self.xs, dtype=float).ravel()
         if thetas.shape != xs.shape:
@@ -275,14 +273,14 @@ def sample_homodyne(
     seed: int,
     *,
     tab_range: float = 8.0,
-    tab_step: float = 1e-3,
     source: str | None = None,
 ) -> HomodyneRecord:
     """Draw homodyne samples at equally spaced phases in [0, pi).
 
-    Per phase, the lossy density is tabulated on [-tab_range, tab_range]
-    (widened by half-steps of 1.5x, up to 8 times, while more than 1e-9 of
-    the probability lies outside) and sampled by inverse transform.  Each
+    Per phase, the lossy density is tabulated on [-tab_range, tab_range] in
+    steps of ``TAB_STEP`` (widened by half-steps of 1.5x, up to 8 times,
+    while more than 1e-9 of the probability lies outside) and sampled by
+    inverse transform.  Each
     phase uses its own child of ``numpy.random.SeedSequence(seed)``, so
     results are reproducible and independent across phases.
     """
@@ -290,15 +288,13 @@ def sample_homodyne(
         raise ValidationError(f"phase_count must be >= 1, got {phase_count}")
     if events_per_phase < 1:
         raise ValidationError(f"events_per_phase must be >= 1, got {events_per_phase}")
-    eta = float(eta)
-    if not 0.0 < eta <= 1.0:
-        raise ValidationError(f"efficiency must lie in (0, 1], got {eta}")
+    eta = _check_eta(eta)
     lossy = apply_loss_channel(state, eta)
     thetas = np.pi * np.arange(phase_count) / phase_count
     children = np.random.SeedSequence(seed).spawn(phase_count)
 
     def tab_grid(r: float) -> np.ndarray:
-        points = int(np.ceil(2.0 * r / tab_step)) + 1
+        points = int(np.ceil(2.0 * r / TAB_STEP)) + 1
         return np.linspace(-r, r, points)
 
     base_grid = tab_grid(tab_range)

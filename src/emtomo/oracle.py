@@ -40,6 +40,8 @@ logger = logging.getLogger(__name__)
 
 # Displaced-distribution mass allowed above the cutoff before refusing.
 DISPLACED_TAIL_TOL = 1e-8
+# Gauss-Legendre nodes per axis of the s-ordered smoothing integral.
+S_ORDERED_QUAD_ORDER = 64
 
 
 @dataclass(frozen=True)
@@ -125,53 +127,52 @@ def _displaced_diagonals(state: StateSpec, qs: np.ndarray, ps: np.ndarray,
 
 
 def displaced_photon_distribution(
-    state: StateSpec, q: float, p: float, n_max: int, *,
-    tail_tol: float = DISPLACED_TAIL_TOL,
+    state: StateSpec, q: float, p: float, n_max: int,
 ) -> tuple[PhotonDistribution, float]:
     """Photon statistics of the state displaced to center (q, p) at origin.
 
     Returns the distribution over 0..n_max together with the probability
     mass above the cutoff.  Raises :class:`TruncationError` when that tail
-    exceeds ``tail_tol``; the distribution is left un-renormalized (the tail
-    is part of the answer, not an error to hide).
+    exceeds ``DISPLACED_TAIL_TOL``; the distribution is left un-renormalized
+    (the tail is part of the answer, not an error to hide).
     """
     probs, tails = _displaced_diagonals(state, [q], [p], n_max)
     tail = max(float(tails[0]), 0.0)
-    if tail > tail_tol:
+    if tail > DISPLACED_TAIL_TOL:
         raise TruncationError(
             f"displaced distribution at (q={q:g}, p={p:g}) leaves {tail:.3g} "
             f"above n_max={n_max}; raise the cutoff"
         )
-    dist = PhotonDistribution(np.clip(probs[0], 0.0, None), atol=10.0 * tail_tol)
+    dist = PhotonDistribution(np.clip(probs[0], 0.0, None), atol=10.0 * DISPLACED_TAIL_TOL)
     return dist, tail
 
 
-def wigner_exact(state: StateSpec, q: float, p: float, n_max: int, *,
-                 tail_tol: float = DISPLACED_TAIL_TOL) -> float:
+def _parity_signs(n_max: int) -> np.ndarray:
+    """(-1)^n for n = 0 .. n_max, the oracle's own parity weights."""
+    return 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
+
+
+def wigner_exact(state: StateSpec, q: float, p: float, n_max: int) -> float:
     """Exact Wigner function value via the displaced parity expectation."""
-    dist, _tail = displaced_photon_distribution(state, q, p, n_max, tail_tol=tail_tol)
-    signs = 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
-    return float(signs @ dist.probs) / np.pi
+    dist, _tail = displaced_photon_distribution(state, q, p, n_max)
+    return float(_parity_signs(n_max) @ dist.probs) / np.pi
 
 
-def wigner_exact_grid(state: StateSpec, qs, ps, n_max: int, *,
-                      tail_tol: float = DISPLACED_TAIL_TOL) -> np.ndarray:
+def wigner_exact_grid(state: StateSpec, qs, ps, n_max: int) -> np.ndarray:
     """Vectorized :func:`wigner_exact` over flat arrays of points."""
     probs, tails = _displaced_diagonals(state, qs, ps, n_max)
     worst = float(tails.max())
-    if worst > tail_tol:
+    if worst > DISPLACED_TAIL_TOL:
         at = int(np.argmax(tails))
         raise TruncationError(
             f"displaced distribution leaves {worst:.3g} above n_max={n_max} "
             f"at point index {at}; raise the cutoff"
         )
-    signs = 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
-    return (probs @ signs) / np.pi
+    return (probs @ _parity_signs(n_max)) / np.pi
 
 
 def s_ordered_quasidistribution(
-    state: StateSpec, q: float, p: float, s_abs: float, n_max: int, *,
-    quad_order: int = 64,
+    state: StateSpec, q: float, p: float, s_abs: float, n_max: int,
 ) -> float:
     """Quasidistribution of negative order parameter -|s| at one point.
 
@@ -186,12 +187,10 @@ def s_ordered_quasidistribution(
     s = float(s_abs)
     if not (np.isfinite(s) and s > 0):
         raise ValidationError(f"s_abs must be positive, got {s_abs}")
-    if quad_order < 4:
-        raise ValidationError(f"quad_order must be >= 4, got {quad_order}")
     # Window where exp(-R^2/s) reaches 1e-12; |W| <= 1/pi keeps the
     # neglected mass well under 1e-9.
     radius = np.sqrt(s * np.log(1e12))
-    t, w = np.polynomial.legendre.leggauss(quad_order)
+    t, w = np.polynomial.legendre.leggauss(S_ORDERED_QUAD_ORDER)
     qq = q + radius * t
     pp = p + radius * t
     qg, pg = np.meshgrid(qq, pp, indexing="ij")

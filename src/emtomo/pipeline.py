@@ -7,15 +7,17 @@ repeats that point recipe (the expensive kernel is built once and shared),
 failing soft on individual points so a single pathological corner cannot
 destroy an overnight scan.
 
-This module deliberately computes the parity sum itself rather than calling
-into :mod:`emtomo.oracle`: the oracle is the arbiter the pipeline is checked
-against, so the two sides share no evaluation code.
+This module deliberately computes the reconstruction's parity sum itself
+rather than calling into :mod:`emtomo.oracle`: the oracle is the arbiter the
+pipeline is checked against, so the two sides share no evaluation code
+(:func:`oracle_wigner_grid` belongs to the oracle side and uses its helpers).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 
@@ -34,16 +36,21 @@ from .fock_kernel import (
     DEFAULT_MAX_COLUMN_DEFICIT,
     BinGrid,
     KernelMatrix,
+    _check_eta,
+    _write_atomically,
     load_or_build_kernel,
 )
 from .homodyne import HomodyneRecord, StateSpec, shift_and_histogram
-from .oracle import _displaced_diagonals
+from .oracle import DISPLACED_TAIL_TOL, _displaced_diagonals, _parity_signs
 
 logger = logging.getLogger(__name__)
 
 # Fraction of shifted samples allowed to fall off the bin grid before a
 # point reconstruction is refused as unreliable.
 MAX_OVERFLOW_FRACTION = 1e-3
+
+# Accepted values of int and float config fields; bool is neither.
+_FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
 def wigner_from_distribution(probs) -> float:
@@ -84,8 +91,16 @@ class ReconstructionConfig:
     max_column_deficit: float | None = DEFAULT_MAX_COLUMN_DEFICIT
 
     def __post_init__(self):
-        if not 0.0 < float(self.eta) <= 1.0:
-            raise ValidationError(f"efficiency must lie in (0, 1], got {self.eta}")
+        for f in fields(self):
+            # f.type is the annotation as written ("int", "float | None", ...)
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if kind not in _FIELD_TYPES or (value is None and optional):
+                continue
+            accepted, label = _FIELD_TYPES[kind]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValidationError(f"{f.name} must be {label}, got {value!r}")
+        _check_eta(self.eta)
         if (self.n_max is None) == (self.localization_radius is None):
             raise ValidationError(
                 "set exactly one of n_max and localization_radius"
@@ -137,14 +152,19 @@ class ReconstructionConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ReconstructionConfig":
-        try:
-            with open(path, "r") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ValidationError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(_read_config_object(path))
+
+
+def _read_config_object(path: str) -> dict:
+    """The JSON object of a config file, not yet validated as a config."""
+    try:
+        with open(path, "r") as fh:
+            data = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"{path}: config must be a JSON object")
+    return data
 
 
 @dataclass
@@ -298,26 +318,24 @@ def reconstruct_wigner_grid(
     )
 
 
-def oracle_wigner_grid(state: StateSpec, qs, ps, n_max: int, *,
-                       tail_tol: float = 1e-8) -> WignerGrid:
+def oracle_wigner_grid(state: StateSpec, qs, ps, n_max: int) -> WignerGrid:
     """Exact Wigner values on a grid, shaped like a reconstruction result.
 
     Diagnostic columns carry zeros except rho_tail, which records the true
     probability the displaced distribution leaves above the cutoff.  Points
-    whose tail exceeds ``tail_tol`` are not trustworthy at this cutoff; they
-    come back NaN with a ``failures`` entry, mirroring how reconstruction
-    grids fail soft.
+    whose tail exceeds ``DISPLACED_TAIL_TOL`` are not trustworthy at this
+    cutoff; they come back NaN with a ``failures`` entry, mirroring how
+    reconstruction grids fail soft.
     """
     qs = np.asarray(qs, dtype=float).ravel()
     ps = np.asarray(ps, dtype=float).ravel()
     qg, pg = np.meshgrid(qs, ps, indexing="ij")
     probs, tails = _displaced_diagonals(state, qg.ravel(), pg.ravel(), n_max)
-    signs = 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
-    values = ((probs @ signs) / np.pi).reshape(qg.shape)
+    values = ((probs @ _parity_signs(n_max)) / np.pi).reshape(qg.shape)
     shape = qg.shape
     tails = np.clip(tails.reshape(shape), 0.0, None)
     failures: dict = {}
-    for i, j in zip(*np.nonzero(tails > tail_tol)):
+    for i, j in zip(*np.nonzero(tails > DISPLACED_TAIL_TOL)):
         failures[(int(i), int(j))] = (
             f"displaced tail {tails[i, j]:.3g} above n_max={n_max}"
         )
@@ -368,8 +386,7 @@ def save_wigner_grid(path: str, grid: WignerGrid) -> None:
                 f"{int(grid.iterations[i, j])} {grid.final_loglik[i, j]:.17g} "
                 f"{grid.overflow_fraction[i, j]:.17g} {grid.rho_tail[i, j]:.17g}"
             )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomically(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_wigner_grid(path: str) -> WignerGrid:

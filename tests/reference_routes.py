@@ -5,7 +5,9 @@ the Wigner function is assembled from the closed-form transform of |m><n|
 rather than displaced photon statistics, displacement matrices come
 from exponentiating the generator on a padded space rather than Laguerre
 polynomials, and the mass a lossy Fock density leaves outside a window comes
-from adaptive quadrature of its tails rather than from binned kernels.
+from adaptive quadrature of its tails rather than from binned kernels, and
+the bin integrals of those densities come from fixed-order Gauss-Legendre
+quadrature rather than from the closed-form tail recurrence.
 
 Two routes restate production arithmetic the slow, obvious way, so that a
 faster production path can be required to match them bit for bit: an EM
@@ -58,6 +60,32 @@ def _oscillator_wavefunction(k: int, x: float) -> float:
     for j in range(1, k + 1):
         prev, cur = cur, np.sqrt(2.0 / j) * x * cur - np.sqrt((j - 1.0) / j) * prev
     return float(cur)
+
+
+def gauss_legendre_bin_integrals(edges, n_max: int, eta: float) -> np.ndarray:
+    """Integrals of each lossy Fock density over each bin, shape (bins, n_max + 1).
+
+    Entry [nu, n] integrates sum_k C(n,k) eta^k (1-eta)^{n-k} psi_k(x)^2 over
+    [edges[nu], edges[nu + 1]] with 64 Gauss-Legendre nodes per bin.  psi_k
+    comes from its own three-term recurrence and the binomial weights from
+    gammaln, so nothing of ``emtomo.fock_kernel`` is used: not its
+    wavefunctions, not its erfc tail recurrence, not its mixture matrix.
+    """
+    t, w = np.polynomial.legendre.leggauss(64)
+    edges = np.asarray(edges, dtype=float)
+    half = 0.5 * np.diff(edges)
+    x = 0.5 * (edges[:-1] + edges[1:])[:, None] + half[:, None] * t
+    psi = [np.pi ** -0.25 * np.exp(-0.5 * x * x), np.zeros_like(x)]
+    ideal = np.empty((edges.size - 1, n_max + 1))
+    for k in range(n_max + 1):
+        ideal[:, k] = half * (psi[0] ** 2 @ w)
+        psi = [np.sqrt(2.0 / (k + 1)) * x * psi[0] - np.sqrt(k / (k + 1.0)) * psi[1], psi[0]]
+    mixture = np.zeros((n_max + 1, n_max + 1))
+    for n in range(n_max + 1):
+        k = np.arange(n + 1)
+        mixture[n, : n + 1] = (np.exp(gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0))
+                               * eta ** k * (1.0 - eta) ** (n - k))
+    return ideal @ mixture.T
 
 
 def lossy_fock_mass_outside(n_max: int, eta: float, half_width: float) -> np.ndarray:

@@ -220,3 +220,45 @@ def test_oracle_localization_radius_cutoff(tmp_path, capsys):
     assert "n_max=8" in capsys.readouterr().out
     grid = load_wigner_grid(str(tmp_path / "v.txt"))
     assert grid.values[0, 0] == pytest.approx(1.0 / np.pi, abs=1e-10)
+
+
+def small_config_file(path, **fields):
+    import json
+
+    data = {
+        "x_min": -7, "x_max": 7, "bin_count": 560, "n_max": 6, "max_iter": 100,
+        "q_min": -1, "q_max": 1, "q_steps": 2, "p_min": -1, "p_max": 1, "p_steps": 2,
+    }
+    data.update(fields)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_config_without_eta_takes_the_records(workdir, tmp_path, capsys):
+    rc = main([
+        "reconstruct", "--config", small_config_file(tmp_path / "cfg.json"),
+        "--record", str(workdir / "rec.txt"), "--out", str(tmp_path / "g.txt"),
+    ])
+    assert rc == 0, capsys.readouterr().err
+    assert load_wigner_grid(str(tmp_path / "g.txt")).meta["eta"] == "0.85"
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", "0.85"),
+    ("eta", True),
+    ("n_max", 5.7),
+    ("bin_count", "560"),
+    ("q_steps", True),
+    ("x_min", "-7"),
+    ("plateau_tol", False),
+])
+def test_config_value_types_checked(workdir, tmp_path, capsys, field, value):
+    rc = main([
+        "reconstruct", "--config", small_config_file(tmp_path / "cfg.json", **{field: value}),
+        "--record", str(workdir / "rec.txt"), "--out", str(tmp_path / "never.txt"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:")
+    assert field in err[0]
+    assert not (tmp_path / "never.txt").exists()

@@ -226,13 +226,6 @@ def test_reconstruct_trace_cadence_and_table():
                                                   record_every=50)
     assert list(diag.trace_iterations) == [0, 50, 100, 120]
     assert diag.final_loglik == diag.loglik_trace[-1]
-    table = diag.as_table()
-    lines = table.strip().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines) == 5
-    it, ll = lines[-1].split()
-    assert int(it) == 120
-    assert float(ll) == pytest.approx(diag.final_loglik, rel=1e-15)
 
 
 def test_reconstruct_flat_start_zero_counts_everywhere_but_center():

@@ -20,6 +20,8 @@ from emtomo import (
 )
 from emtomo.fock_kernel import lossy_fock_quadrature_density_convolution
 
+from .reference_routes import gauss_legendre_bin_integrals
+
 
 def hermite_route(n, x):
     # textbook formula, with the log-normalization pulled through gammaln
@@ -133,11 +135,17 @@ def test_kernel_mirror_symmetry_is_exact():
     assert np.array_equal(kernel.entries, kernel.entries[::-1])
 
 
-def test_kernel_quadrature_order_doubling_converged():
-    grid = BinGrid(-7.0, 7.0, 140)  # coarse bins stress the quadrature
-    a = build_kernel_matrix(grid, 10, 0.9, initial_quad_order=2)
-    b = build_kernel_matrix(grid, 10, 0.9, initial_quad_order=8)
-    assert np.max(np.abs(a.entries - b.entries)) < 1e-11
+@pytest.mark.parametrize("x_min, x_max, bins, n_max", [
+    (-7.0, 7.0, 140, 10),  # coarse bins
+    (-6.0, 6.0, 121, 20),  # odd bin count: the middle bin straddles 0
+    (-3.0, 5.0, 333, 15),  # asymmetric range
+], ids=["coarse", "straddle", "asymmetric"])
+def test_kernel_closed_form_matches_quadrature(x_min, x_max, bins, n_max):
+    grid = BinGrid(x_min, x_max, bins)
+    kernel = build_kernel_matrix(grid, n_max, 0.9, max_column_deficit=None)
+    reference = gauss_legendre_bin_integrals(grid.edges, n_max, 0.9)
+    assert np.max(np.abs(kernel.entries - reference)) < 1e-11
+    assert np.all(kernel.entries >= 0.0)
 
 
 def test_kernel_column_deficit_guard():

@@ -176,8 +176,6 @@ def test_s_ordered_matches_lossy_wigner_identity():
 def test_s_ordered_validation():
     with pytest.raises(ValidationError):
         s_ordered_quasidistribution(vacuum_state(), 0.0, 0.0, 0.0, 20)
-    with pytest.raises(ValidationError):
-        s_ordered_quasidistribution(vacuum_state(), 0.0, 0.0, 1.0, 20, quad_order=2)
 
 
 def test_smeared_value_reachable_from_binned_data_without_em():

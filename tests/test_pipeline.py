@@ -1,3 +1,6 @@
+import builtins
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from emtomo import (
     reconstruct_wigner_grid,
     reconstruct_wigner_point,
     sample_homodyne,
+    save_kernel,
     save_wigner_grid,
     vacuum_state,
     wigner_exact,
@@ -281,3 +285,46 @@ def test_gnuplot_emission(tmp_path):
     assert sum(1 for l in dat_lines if l and not l.startswith("#")) == 20
     script = open(gp).read()
     assert "splot" in script and "pm3d" in script
+
+
+class _HalfWrittenFile:
+    """Stands in for a file whose first write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("kind", ["kernel", "grid"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, kind):
+    path = str(tmp_path / "out")
+    kernel = build_kernel_matrix(BinGrid(-6.0, 6.0, 60), 3, 0.9)
+    grid = oracle_wigner_grid(vacuum_state(), [0.0, 0.5], [0.0, 0.5], 10)
+    save = {"kernel": lambda: save_kernel(path, kernel),
+            "grid": lambda: save_wigner_grid(path, grid)}[kind]
+    save()
+    assert os.listdir(tmp_path) == ["out"]
+    with open(path, "rb") as fh:
+        before = fh.read()
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _HalfWrittenFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError, match="disk full"):
+        save()
+    monkeypatch.undo()
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(tmp_path) == ["out"]
