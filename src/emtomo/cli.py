@@ -150,10 +150,9 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
         "bin_count": args.bin_count, "n_max": args.n_max,
         "localization_radius": args.localization_radius,
         "max_iter": args.max_iter, "plateau_tol": args.plateau_tol,
-        "record_every": args.record_every,
         "q_min": args.q_min, "q_max": args.q_max, "q_steps": args.q_steps,
         "p_min": args.p_min, "p_max": args.p_max, "p_steps": args.p_steps,
-        "seed": args.seed, "record_path": args.record, "output_path": args.out,
+        "record_path": args.record, "output_path": args.out,
         "kernel_cache": args.kernel_cache,
         "max_column_deficit": args.max_column_deficit,
     }
@@ -267,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--max-iter", type=int, default=None)
     rec.add_argument("--plateau-tol", type=float, default=None,
                      help="stop once the 100-iteration likelihood gain drops below this")
-    rec.add_argument("--record-every", type=int, default=None)
     _add_grid_args(rec)
-    rec.add_argument("--seed", type=int, default=None, help="echoed into the grid file")
     rec.add_argument("--kernel-cache", default=None,
                      help="binary kernel cache file to reuse or create")
     rec.add_argument("--max-column-deficit", type=_parse_deficit, default=None,

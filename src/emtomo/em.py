@@ -44,8 +44,9 @@ from .fock_kernel import BinGrid, KernelMatrix
 
 logger = logging.getLogger(__name__)
 
-# Cadence (in iterations) of the plateau test; the stopping rule compares
-# log-likelihood gains across windows of this many iterations.
+# Cadence (in iterations) of the log-likelihood trace and of the plateau
+# test, which compares log-likelihood gains across windows of this many
+# iterations.
 PLATEAU_WINDOW = 100
 
 # Iterate entries below this (the smallest normal float) are set to zero.
@@ -78,7 +79,8 @@ class Histogram:
 
     @classmethod
     def from_samples(cls, grid: BinGrid, samples) -> "Histogram":
-        return _histogram_into(grid, np.array(samples, dtype=float).ravel())
+        counts, overflow = grid.counts_in_place(np.array(samples, dtype=float).ravel())
+        return cls(grid=grid, counts=counts, overflow=overflow)
 
     @property
     def total(self) -> int:
@@ -90,24 +92,6 @@ class Histogram:
         if total == 0:
             raise EmptyHistogramError("histogram holds no counts")
         return self.counts / total
-
-
-def _histogram_into(grid: BinGrid, buf: np.ndarray) -> Histogram:
-    """Histogram of the float64 samples in ``buf``, which serves as scratch.
-
-    Bins are those of :meth:`BinGrid.bin_indices`, computed in place; samples
-    outside [x_min, x_max] (NaN included) go to one spill bin past the grid,
-    so a single bincount yields both the counts and the overflow.  The
-    contents of ``buf`` are destroyed.
-    """
-    outside = ~((buf >= grid.x_min) & (buf <= grid.x_max))
-    buf -= grid.x_min
-    buf /= grid.width
-    # In range buf >= 0, so the integer cast below truncates like floor.
-    np.minimum(buf, grid.bin_count - 1, out=buf)
-    buf[outside] = grid.bin_count
-    counts = np.bincount(buf.astype(np.int64), minlength=grid.bin_count + 1)
-    return Histogram(grid=grid, counts=counts[:-1], overflow=int(counts[-1]))
 
 
 @dataclass
@@ -225,27 +209,12 @@ def em_step_frequencies(frequencies, entries, rho) -> np.ndarray:
     return new
 
 
-def log_likelihood(hist: Histogram, kernel: KernelMatrix, rho) -> float:
-    """Histogram-level wrapper around :func:`log_likelihood_frequencies`."""
-    if hist.grid != kernel.grid:
-        raise ValidationError("histogram and kernel use different bin grids")
-    return log_likelihood_frequencies(hist.frequencies(), kernel.entries, rho)
-
-
-def em_step(hist: Histogram, kernel: KernelMatrix, rho) -> np.ndarray:
-    """Histogram-level wrapper around :func:`em_step_frequencies`."""
-    if hist.grid != kernel.grid:
-        raise ValidationError("histogram and kernel use different bin grids")
-    return em_step_frequencies(hist.frequencies(), kernel.entries, rho)
-
-
 def reconstruct_photon_distribution(
     hist: Histogram,
     kernel: KernelMatrix,
     *,
     max_iter: int = 10_000,
     plateau_tol: float | None = None,
-    record_every: int = 100,
 ) -> tuple[PhotonDistribution, EmDiagnostics]:
     """Run EM from the flat start until plateau or the iteration budget.
 
@@ -257,15 +226,17 @@ def reconstruct_photon_distribution(
         Iteration budget.
     plateau_tol : float or None
         If a float, stop once the log-likelihood gain over the trailing
-        100-iteration window drops below it.  ``None`` (default) disables the
-        plateau rule and always runs ``max_iter`` iterations, which is the
-        right mode for reproducing fixed-iteration published runs.
-    record_every : int
-        Cadence of the diagnostic log-likelihood trace.
+        ``PLATEAU_WINDOW``-iteration window drops below it.  ``None``
+        (default) disables the plateau rule and always runs ``max_iter``
+        iterations, which is the right mode for reproducing fixed-iteration
+        published runs.
 
     Returns
     -------
     (PhotonDistribution, EmDiagnostics)
+        The diagnostic trace holds the log-likelihood at iteration 0, every
+        ``PLATEAU_WINDOW`` iterations and the last iteration; the plateau
+        rule compares its last two window entries.
 
     Notes
     -----
@@ -277,8 +248,6 @@ def reconstruct_photon_distribution(
         raise ValidationError("histogram and kernel use different bin grids")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    if record_every < 1:
-        raise ValidationError(f"record_every must be >= 1, got {record_every}")
     p = hist.frequencies()
     active = p > 0
     a_act = np.ascontiguousarray(kernel.entries[active])
@@ -293,7 +262,6 @@ def reconstruct_photon_distribution(
 
     trace_its = [0]
     trace_ll = [loglik(rho)]
-    prev_window_ll = trace_ll[0]
     worst_renorm = 0.0
     converged = False
     stop_reason = "max-iterations"
@@ -304,22 +272,15 @@ def reconstruct_photon_distribution(
         it += 1
         s = _em_iterate(a_act, p_act, rho, model, grad)
         worst_renorm = max(worst_renorm, abs(1.0 - s))
-        at_record = it % record_every == 0 or it == max_iter
-        at_window = plateau_tol is not None and it % PLATEAU_WINDOW == 0
-        if at_record or at_window:
-            ll = loglik(rho)
-            if at_record:
-                trace_its.append(it)
-                trace_ll.append(ll)
-            if at_window:
-                if ll - prev_window_ll < plateau_tol:
-                    converged = True
-                    stop_reason = "plateau"
-                    if not at_record:
-                        trace_its.append(it)
-                        trace_ll.append(ll)
-                    break
-                prev_window_ll = ll
+        at_window = it % PLATEAU_WINDOW == 0
+        if not (at_window or it == max_iter):
+            continue
+        trace_its.append(it)
+        trace_ll.append(loglik(rho))
+        if at_window and plateau_tol is not None and trace_ll[-1] - trace_ll[-2] < plateau_tol:
+            converged = True
+            stop_reason = "plateau"
+            break
     diag = EmDiagnostics(
         iterations_run=it,
         trace_iterations=np.asarray(trace_its, dtype=np.int64),

@@ -30,6 +30,7 @@ import numbers
 import os
 import struct
 from dataclasses import dataclass
+from typing import BinaryIO, Callable
 
 import numpy as np
 from scipy.special import erfc
@@ -229,17 +230,25 @@ class BinGrid:
         edges = self.edges
         return 0.5 * (edges[:-1] + edges[1:])
 
-    def bin_indices(self, x: np.ndarray) -> np.ndarray:
-        """Map samples to bin indices; out-of-range and NaN samples map to -1.
+    def counts_in_place(self, buf: np.ndarray) -> tuple[np.ndarray, int]:
+        """Per-bin counts and overflow of the float64 samples in ``buf``.
 
         A sample in [x_min, x_max] lands in bin floor((x - x_min) / width),
         clamped to the last bin: x_max itself, and samples just below it
         whose scaled offset rounds up to ``bin_count``, belong there.
+        Samples outside the range, NaN included, count as overflow.  The
+        bins are computed in ``buf``, whose contents are destroyed; the
+        outside samples go to one spill bin past the grid, so a single
+        bincount yields both results.
         """
-        xs = np.asarray(x, dtype=float)
-        pos = np.minimum(np.floor((xs - self.x_min) / self.width), self.bin_count - 1)
-        pos[~((xs >= self.x_min) & (xs <= self.x_max))] = -1
-        return pos.astype(np.int64)
+        outside = ~((buf >= self.x_min) & (buf <= self.x_max))
+        buf -= self.x_min
+        buf /= self.width
+        # In range buf >= 0, so the integer cast below truncates like floor.
+        np.minimum(buf, self.bin_count - 1, out=buf)
+        buf[outside] = self.bin_count
+        counts = np.bincount(buf.astype(np.int64), minlength=self.bin_count + 1)
+        return counts[:-1], int(counts[-1])
 
 
 @dataclass(frozen=True)
@@ -347,16 +356,18 @@ def _check_column_deficits(kernel: KernelMatrix, max_column_deficit: float | Non
         )
 
 
-def _write_atomically(path: str, data: bytes) -> None:
-    """Replace ``path`` with ``data`` via a temporary file in the same directory.
+def _write_atomically(path: str, write: Callable[[BinaryIO], object]) -> None:
+    """Replace ``path`` with what ``write`` puts in a binary file handle.
 
-    A reader sees the old file or the new one, never a partial write; a
-    failure leaves the old file intact and removes the temporary file.
+    ``write`` fills a temporary file in the same directory, which then
+    replaces ``path``.  A reader sees the old file or the new one, never a
+    partial write; a failure leaves the old file intact and removes the
+    temporary file.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            write(fh)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -380,7 +391,8 @@ def save_kernel(path: str, kernel: KernelMatrix) -> None:
         kernel.n_max,
         kernel.eta,
     )
-    _write_atomically(path, header + np.ascontiguousarray(kernel.entries, dtype="<f8").tobytes())
+    data = header + np.ascontiguousarray(kernel.entries, dtype="<f8").tobytes()
+    _write_atomically(path, lambda fh: fh.write(data))
 
 
 def load_kernel(path: str) -> KernelMatrix:
@@ -394,17 +406,20 @@ def load_kernel(path: str) -> KernelMatrix:
             raise FileFormatError(f"{path}: not a kernel cache file")
         if version != _KERNEL_VERSION:
             raise FileFormatError(f"{path}: unsupported kernel version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
+        raw = fh.read()
     if bins < 1 or n_max < 0:
         raise FileFormatError(f"{path}: invalid kernel dimensions {bins} x {n_max + 1}")
-    if data.size != bins * (n_max + 1):
+    if len(raw) != 8 * bins * (n_max + 1):
         raise FileFormatError(
-            f"{path}: expected {bins * (n_max + 1)} entries, found {data.size}"
+            f"{path}: expected {8 * bins * (n_max + 1)} bytes of entries, found {len(raw)}"
         )
-    entries = data.reshape(bins, n_max + 1).astype(float)
+    entries = np.frombuffer(raw, dtype="<f8").reshape(bins, n_max + 1).astype(float)
     if not np.all(np.isfinite(entries)):
         raise FileFormatError(f"{path}: kernel entries contain non-finite values")
-    grid = BinGrid(x_min, x_max, bins)
+    try:
+        grid = BinGrid(x_min, x_max, bins)
+    except ValidationError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
     return KernelMatrix(grid=grid, n_max=int(n_max), eta=float(eta), entries=entries,
                         column_deficits=1.0 - entries.sum(axis=0))
 

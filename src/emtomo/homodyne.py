@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .em import Histogram, _histogram_into
+from .em import Histogram
 from .errors import (
     EmptyHistogramError,
     FileFormatError,
@@ -29,7 +29,7 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock_kernel import BinGrid, _check_eta, fock_wavefunctions
+from .fock_kernel import BinGrid, _check_eta, _write_atomically, fock_wavefunctions
 
 logger = logging.getLogger(__name__)
 
@@ -43,6 +43,8 @@ STATE_TAIL_TOL = 1e-10
 TAB_TAIL_TOL = 1e-9
 # Spacing of the sampling density table.
 TAB_STEP = 1e-3
+# Sample lines a text record formats into one string per write.
+_TEXT_LINES_PER_WRITE = 65536
 
 
 @dataclass
@@ -198,15 +200,18 @@ def apply_loss_channel(state: StateSpec, eta: float) -> StateSpec:
     return StateSpec(dim=d, rho=out)
 
 
+def _phase_density(rho: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:
+    """sum_{m,n} rho_mn e^{i(n-m) theta} psi_m psi_n at every column of ``psi``."""
+    c = np.exp(1j * float(theta) * np.arange(rho.shape[0]))[:, None] * psi
+    return np.einsum("mx,mx->x", c.conj(), rho @ c).real
+
+
 def quadrature_density(state: StateSpec, theta: float, x, eta: float = 1.0):
     """Homodyne outcome density h(x; theta) at efficiency eta."""
     lossy = state if eta == 1.0 else apply_loss_channel(state, eta)
     xs = np.asarray(x, dtype=float)
     psi = fock_wavefunctions(lossy.dim - 1, xs.ravel())
-    phases = np.exp(1j * float(theta) * np.arange(lossy.dim))
-    c = phases[:, None] * psi
-    h = np.einsum("mx,mx->x", c.conj(), lossy.rho @ c).real
-    h = h.reshape(xs.shape)
+    h = _phase_density(lossy.rho, theta, psi).reshape(xs.shape)
     return h if np.ndim(x) else float(h)
 
 
@@ -299,14 +304,12 @@ def sample_homodyne(
 
     base_grid = tab_grid(tab_range)
     base_psi = fock_wavefunctions(lossy.dim - 1, base_grid)
-    ns = np.arange(lossy.dim)
     all_x = np.empty(phase_count * events_per_phase)
     for j, theta in enumerate(thetas):
         grid, psi = base_grid, base_psi
         radius = tab_range
         for attempt in range(9):
-            c = np.exp(1j * theta * ns)[:, None] * psi
-            dens = np.einsum("mx,mx->x", c.conj(), lossy.rho @ c).real
+            dens = _phase_density(lossy.rho, theta, psi)
             outside = 1.0 - np.trapezoid(np.clip(dens, 0.0, None), grid)
             if outside <= TAB_TAIL_TOL:
                 break
@@ -363,7 +366,8 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
         del sin_term
         shifted *= scale
     np.subtract(record.xs, shifted, out=shifted)
-    hist = _histogram_into(grid, shifted)
+    counts, overflow = grid.counts_in_place(shifted)
+    hist = Histogram(grid=grid, counts=counts, overflow=overflow)
     if hist.total == 0:
         raise EmptyHistogramError(
             "every shifted sample fell outside the bin grid"
@@ -372,20 +376,31 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
 
 
 def save_record_text(path: str, record: HomodyneRecord) -> None:
-    """Plain-text record: eta=, seed=, source= headers, then theta,x lines."""
-    with open(path, "w") as fh:
-        fh.write(f"eta={record.eta:.17g}\n")
-        fh.write(f"seed={record.seed}\n")
-        fh.write(f"source={record.source}\n")
-        for theta, x in zip(record.thetas, record.xs):
-            fh.write(f"{theta:.17g},{x:.17g}\n")
+    """Plain-text record: eta=, seed=, source= headers, then theta,x lines.
+
+    Streamed to a temporary file that is renamed over ``path``, so a failed
+    write leaves any previous record intact.
+    """
+    line = "{:.17g},{:.17g}\n".format
+
+    def write(fh):
+        fh.write(f"eta={record.eta:.17g}\nseed={record.seed}\n"
+                 f"source={record.source}\n".encode())
+        for start in range(0, record.sample_count, _TEXT_LINES_PER_WRITE):
+            stop = start + _TEXT_LINES_PER_WRITE
+            fh.write("".join(map(line, record.thetas[start:stop].tolist(),
+                                 record.xs[start:stop].tolist())).encode())
+
+    _write_atomically(path, write)
 
 
 def load_record_text(path: str) -> HomodyneRecord:
     header: dict[str, str] = {}
     thetas: list[float] = []
     xs: list[float] = []
-    with open(path, "r") as fh:
+    # As in the binary reader's source field, undecodable bytes become U+FFFD,
+    # so they fail to parse as numbers instead of raising UnicodeDecodeError.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -418,7 +433,11 @@ def load_record_text(path: str) -> HomodyneRecord:
 
 
 def save_record_binary(path: str, record: HomodyneRecord) -> None:
-    """Binary record: 104-byte header then little-endian (theta, x) pairs."""
+    """Binary record: 104-byte header then little-endian (theta, x) pairs.
+
+    Streamed to a temporary file that is renamed over ``path``, so a failed
+    write leaves any previous record intact.
+    """
     source = record.source.encode("utf-8")[:64]
     header = _RECORD_HEADER.pack(
         _RECORD_MAGIC, _RECORD_VERSION, 0, record.eta, record.seed,
@@ -427,9 +446,12 @@ def save_record_binary(path: str, record: HomodyneRecord) -> None:
     pairs = np.empty((record.sample_count, 2), dtype="<f8")
     pairs[:, 0] = record.thetas
     pairs[:, 1] = record.xs
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(header)
-        fh.write(pairs.tobytes())
+        fh.write(pairs)
+
+    _write_atomically(path, write)
 
 
 def load_record_binary(path: str) -> HomodyneRecord:
@@ -442,12 +464,12 @@ def load_record_binary(path: str) -> HomodyneRecord:
             raise FileFormatError(f"{path}: not a binary homodyne record")
         if version != _RECORD_VERSION:
             raise FileFormatError(f"{path}: unsupported record version {version}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if count < 1 or data.size != 2 * count:
+        raw = fh.read()
+    if count < 1 or len(raw) != 16 * count:
         raise FileFormatError(
-            f"{path}: expected {2 * count} floats of sample data, found {data.size}"
+            f"{path}: expected {16 * count} bytes of sample data, found {len(raw)}"
         )
-    pairs = data.reshape(count, 2)
+    pairs = np.frombuffer(raw, dtype="<f8").reshape(count, 2)
     try:
         return HomodyneRecord(
             eta=float(eta), thetas=pairs[:, 0].copy(), xs=pairs[:, 1].copy(),

@@ -27,7 +27,6 @@ test suite).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
@@ -44,39 +43,33 @@ DISPLACED_TAIL_TOL = 1e-8
 S_ORDERED_QUAD_ORDER = 64
 
 
-@dataclass(frozen=True)
-class DisplacementAmplitudes:
-    """Matrix block <m|D(beta)|n>, m < rows, n < cols."""
+def _displacement_blocks(betas: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Blocks <m|D(beta)|n>, m < rows, n < cols, for each entry of ``betas``.
 
-    beta: complex
-    rows: int
-    cols: int
-    entries: np.ndarray
-
-    def column_norm_defects(self) -> np.ndarray:
-        """1 - sum_m |D_mn|^2 per column; tends to 0 as rows grow."""
-        return 1.0 - np.sum(np.abs(self.entries) ** 2, axis=0)
-
-
-def displacement_amplitudes(beta: complex, rows: int, cols: int) -> DisplacementAmplitudes:
-    """Evaluate the displacement operator block <m|D(beta)|n>."""
-    if rows < 1 or cols < 1:
-        raise ValidationError("displacement block must have at least one row and column")
-    beta = complex(beta)
-    if beta == 0:
-        entries = np.eye(rows, cols, dtype=complex)
-        return DisplacementAmplitudes(beta=beta, rows=rows, cols=cols, entries=entries)
+    Returns shape (len(betas), rows, cols).  The one builder of displacement
+    blocks: the single-point API and the displaced distributions call it.
+    """
     m = np.arange(rows)[:, None]
     n = np.arange(cols)[None, :]
     lo = np.minimum(m, n)
     hi = np.maximum(m, n)
     k = hi - lo
-    x = abs(beta) ** 2
-    log_mag = 0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0)) - 0.5 * x
-    lag = eval_genlaguerre(lo, k, x)
-    factor = np.where(m >= n, beta, -np.conj(beta)) ** k
-    entries = np.exp(log_mag) * lag * factor
-    return DisplacementAmplitudes(beta=beta, rows=rows, cols=cols, entries=entries)
+    log_ratio = 0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0))
+    x = np.abs(betas) ** 2
+    lag = eval_genlaguerre(lo[None, :, :], k[None, :, :], x[:, None, None])
+    mag = np.exp(log_ratio[None, :, :] - 0.5 * x[:, None, None]) * lag
+    base = np.where(m[None, :, :] >= n[None, :, :], betas[:, None, None],
+                    -np.conj(betas)[:, None, None])
+    blocks = mag * base ** k[None, :, :]
+    blocks[betas == 0] = np.eye(rows, cols)
+    return blocks
+
+
+def displacement_amplitudes(beta: complex, rows: int, cols: int) -> np.ndarray:
+    """The displacement operator block <m|D(beta)|n>, m < rows, n < cols."""
+    if rows < 1 or cols < 1:
+        raise ValidationError("displacement block must have at least one row and column")
+    return _displacement_blocks(np.array([complex(beta)]), rows, cols)[0]
 
 
 def _displaced_diagonals(state: StateSpec, qs: np.ndarray, ps: np.ndarray,
@@ -95,12 +88,6 @@ def _displaced_diagonals(state: StateSpec, qs: np.ndarray, ps: np.ndarray,
         raise ValidationError("phase-space points must be finite")
     d = state.dim
     cols = n_max + 1
-    m = np.arange(d)[:, None]
-    n = np.arange(cols)[None, :]
-    lo = np.minimum(m, n)
-    hi = np.maximum(m, n)
-    k = hi - lo
-    log_ratio = 0.5 * (gammaln(lo + 1.0) - gammaln(hi + 1.0))
     probs = np.empty((qs.size, cols))
     tails = np.empty(qs.size)
     # Chunked so the (points, d, cols) Laguerre workspace stays modest.
@@ -108,16 +95,7 @@ def _displaced_diagonals(state: StateSpec, qs: np.ndarray, ps: np.ndarray,
     for start in range(0, qs.size, chunk):
         qb = qs[start : start + chunk]
         pb = ps[start : start + chunk]
-        beta = (qb + 1j * pb) / np.sqrt(2.0)
-        x = np.abs(beta) ** 2
-        lag = eval_genlaguerre(lo[None, :, :], k[None, :, :], x[:, None, None])
-        mag = np.exp(log_ratio[None, :, :] - 0.5 * x[:, None, None]) * lag
-        base = np.where(m[None, :, :] >= n[None, :, :], beta[:, None, None],
-                        -np.conj(beta)[:, None, None])
-        blocks = mag * base ** k[None, :, :]
-        zero = beta == 0
-        if np.any(zero):
-            blocks[zero] = np.eye(d, cols)
+        blocks = _displacement_blocks((qb + 1j * pb) / np.sqrt(2.0), d, cols)
         # rho_n = (column n)^dag rho (column n)
         probs[start : start + chunk] = np.einsum(
             "pmn,mk,pkn->pn", blocks.conj(), state.rho, blocks

@@ -77,14 +77,12 @@ class ReconstructionConfig:
     localization_radius: float | None = None
     max_iter: int = 10_000
     plateau_tol: float | None = None
-    record_every: int = 100
     q_min: float = -2.0
     q_max: float = 2.0
     q_steps: int = 21
     p_min: float = -2.0
     p_max: float = 2.0
     p_steps: int = 21
-    seed: int = 0
     record_path: str | None = None
     output_path: str | None = None
     kernel_cache: str | None = None
@@ -117,8 +115,6 @@ class ReconstructionConfig:
                 raise ValidationError(f"degenerate {name} range with {steps} steps")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.record_every < 1:
-            raise ValidationError(f"record_every must be >= 1, got {self.record_every}")
 
     def resolve_cutoff(self) -> int:
         if self.n_max is not None:
@@ -188,7 +184,6 @@ def reconstruct_wigner_point(
     *,
     max_iter: int = 10_000,
     plateau_tol: float | None = None,
-    record_every: int = 100,
 ) -> tuple[float, PointDiagnostics]:
     """Reconstruct W(q, p) from a record via shift + histogram + EM.
 
@@ -210,7 +205,6 @@ def reconstruct_wigner_point(
         )
     dist, diag = reconstruct_photon_distribution(
         hist, kernel, max_iter=max_iter, plateau_tol=plateau_tol,
-        record_every=record_every,
     )
     w = wigner_from_distribution(dist.probs)
     point = PointDiagnostics(
@@ -289,7 +283,6 @@ def reconstruct_wigner_grid(
                 w, point = reconstruct_wigner_point(
                     record, float(qv), float(pv), kernel,
                     max_iter=config.max_iter, plateau_tol=config.plateau_tol,
-                    record_every=config.record_every,
                 )
             except (ShiftOverflowError, EmptyHistogramError, ModelZeroError,
                     TruncationError) as exc:
@@ -386,7 +379,8 @@ def save_wigner_grid(path: str, grid: WignerGrid) -> None:
                 f"{int(grid.iterations[i, j])} {grid.final_loglik[i, j]:.17g} "
                 f"{grid.overflow_fraction[i, j]:.17g} {grid.rho_tail[i, j]:.17g}"
             )
-    _write_atomically(path, ("\n".join(lines) + "\n").encode())
+    data = ("\n".join(lines) + "\n").encode()
+    _write_atomically(path, lambda fh: fh.write(data))
 
 
 def load_wigner_grid(path: str) -> WignerGrid:
@@ -395,7 +389,9 @@ def load_wigner_grid(path: str) -> WignerGrid:
     failures: dict = {}
     q_steps = p_steps = None
     rows: list[list[float]] = []
-    with open(path, "r") as fh:
+    # Undecodable bytes become U+FFFD, so they fail to parse as numbers
+    # instead of raising UnicodeDecodeError.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         first = fh.readline().rstrip("\n")
         if first != _GRID_MAGIC_LINE:
             raise FileFormatError(f"{path}: not a wigner grid file")
@@ -409,15 +405,14 @@ def load_wigner_grid(path: str) -> WignerGrid:
                     key, _, value = body[5:].partition("=")
                     meta[key.strip()] = value.strip()
                 elif body.startswith("q_steps:"):
-                    q_steps = int(body.split(":", 1)[1])
+                    q_steps = _header_int(path, lineno, body.split(":", 1)[1])
                 elif body.startswith("p_steps:"):
-                    p_steps = int(body.split(":", 1)[1])
+                    p_steps = _header_int(path, lineno, body.split(":", 1)[1])
                 elif body.startswith("failed "):
                     parts = body.split(" ", 3)
                     if len(parts) >= 3:
-                        failures[(int(parts[1]), int(parts[2]))] = (
-                            parts[3] if len(parts) > 3 else ""
-                        )
+                        i, j = (_header_int(path, lineno, v) for v in parts[1:3])
+                        failures[(i, j)] = parts[3] if len(parts) > 3 else ""
                 continue
             parts = line.split()
             if len(parts) != 7:
@@ -430,6 +425,8 @@ def load_wigner_grid(path: str) -> WignerGrid:
                 raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
     if q_steps is None or p_steps is None:
         raise FileFormatError(f"{path}: missing q_steps/p_steps headers")
+    if q_steps < 1 or p_steps < 1:
+        raise FileFormatError(f"{path}: q_steps and p_steps must be >= 1")
     if len(rows) != q_steps * p_steps:
         raise FileFormatError(
             f"{path}: expected {q_steps * p_steps} rows, found {len(rows)}"
@@ -445,6 +442,15 @@ def load_wigner_grid(path: str) -> WignerGrid:
         final_loglik=grab(4), overflow_fraction=grab(5), rho_tail=grab(6),
         failures=failures, meta=meta,
     )
+
+
+def _header_int(path: str, lineno: int, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise FileFormatError(
+            f"{path}:{lineno}: expected an integer, got {text.strip()!r}"
+        ) from None
 
 
 def compare_wigner_grids(a: WignerGrid, b: WignerGrid) -> dict:

@@ -262,3 +262,31 @@ def test_config_value_types_checked(workdir, tmp_path, capsys, field, value):
     assert len(err) == 1 and err[0].startswith("error: config:")
     assert field in err[0]
     assert not (tmp_path / "never.txt").exists()
+
+
+def _drop_rows(text):
+    return "\n".join(l for l in text.splitlines() if l.startswith("#")) + "\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: t.replace("# q_steps: 2", "# q_steps: abc"),
+    lambda t: t.replace("# columns:", "# failed x y boom\n# columns:"),
+    lambda t: _drop_rows(t.replace("# q_steps: 2", "# q_steps: 0")),
+    lambda t: _drop_rows(t.replace("# p_steps: 2", "# p_steps: 0")),
+], ids=["q_steps-not-int", "failed-not-int", "q_steps-zero", "p_steps-zero"])
+def test_malformed_grid_header_is_a_format_error(tmp_path, capsys, edit):
+    exact = tmp_path / "exact.txt"
+    assert main([
+        "oracle", "--state", "vacuum", "--n-max", "10",
+        "--q-min", "-1", "--q-max", "1", "--q-steps", "2",
+        "--p-min", "-1", "--p-max", "1", "--p-steps", "2", "--out", str(exact),
+    ]) == 0
+    bad = tmp_path / "bad.txt"
+    bad.write_text(edit(exact.read_text()))
+    assert bad.read_text() != exact.read_text()
+    capsys.readouterr()
+    for argv in (["compare", str(bad), str(exact)],
+                 ["plot", str(bad), "--out-prefix", str(tmp_path / "fig")]):
+        assert main(argv) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: format:")

@@ -12,8 +12,6 @@ from emtomo import (
     ValidationError,
     build_kernel_matrix,
     default_cutoff,
-    em_step,
-    log_likelihood,
     reconstruct_photon_distribution,
 )
 from emtomo.em import em_step_frequencies, log_likelihood_frequencies
@@ -222,9 +220,8 @@ def test_reconstruct_trace_cadence_and_table():
     kernel = build_kernel_matrix(grid, 3, 1.0)
     rng = np.random.default_rng(8)
     hist = Histogram.from_samples(grid, rng.normal(0.0, 0.75, size=5_000))
-    _dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=120,
-                                                  record_every=50)
-    assert list(diag.trace_iterations) == [0, 50, 100, 120]
+    _dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=120)
+    assert list(diag.trace_iterations) == [0, 100, 120]
     assert diag.final_loglik == diag.loglik_trace[-1]
 
 
@@ -245,7 +242,3 @@ def test_grid_mismatch_rejected():
     hist = Histogram(BinGrid(-4.0, 4.0, 100), np.ones(100, dtype=int))
     with pytest.raises(ValidationError):
         reconstruct_photon_distribution(hist, kernel, max_iter=10)
-    with pytest.raises(ValidationError):
-        log_likelihood(hist, kernel, np.full(4, 0.25))
-    with pytest.raises(ValidationError):
-        em_step(hist, kernel, np.full(4, 0.25))

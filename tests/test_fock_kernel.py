@@ -9,6 +9,7 @@ from emtomo import (
     ColumnDeficitError,
     CutoffTooLargeError,
     FileFormatError,
+    Histogram,
     ValidationError,
     build_kernel_matrix,
     fock_wavefunction,
@@ -112,8 +113,9 @@ def test_bin_grid_basics():
     grid = BinGrid(-2.0, 2.0, 8)
     assert grid.width == pytest.approx(0.5)
     assert grid.edges[0] == -2.0 and grid.edges[-1] == 2.0
-    idx = grid.bin_indices(np.array([-2.0, -1.99, 0.0, 1.99, 2.0, 2.1, -3.0]))
-    assert list(idx) == [0, 0, 4, 7, 7, -1, -1]
+    hist = Histogram.from_samples(grid, [-2.0, -1.99, 0.0, 1.99, 2.0, 2.1, -3.0])
+    assert list(hist.counts) == [2, 0, 0, 0, 1, 0, 0, 2]
+    assert hist.overflow == 2
     # symmetric grids mirror bit-exactly
     assert np.array_equal(grid.centers, -grid.centers[::-1])
     with pytest.raises(ValidationError):
@@ -125,8 +127,9 @@ def test_bin_grid_basics():
 def test_bin_indices_clamp_to_last_bin_and_send_nan_out():
     grid = BinGrid(-8.0, 8.0, 16_000)
     below = np.nextafter(8.0, -np.inf)
-    idx = grid.bin_indices(np.array([below, 8.0, np.nan, np.inf]))
-    assert list(idx) == [15_999, 15_999, -1, -1]
+    hist = Histogram.from_samples(grid, [below, 8.0, np.nan, np.inf])
+    assert hist.counts[15_999] == 2 and hist.total == 2
+    assert hist.overflow == 2
 
 
 def test_kernel_mirror_symmetry_is_exact():
@@ -235,3 +238,23 @@ def test_kernel_cache_rejects_malformed_files(tmp_path):
     open(truncated, "wb").write(blob[:-16])
     with pytest.raises(FileFormatError):
         load_kernel(truncated)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda blob: blob[:16] + np.array([np.nan], dtype="<f8").tobytes() + blob[24:],
+    lambda blob: blob[:-3],
+], ids=["nan-x-min", "partial-entry"])
+def test_corrupt_kernel_cache_is_rebuilt(tmp_path, corrupt):
+    path = os.fspath(tmp_path / "kernel.bin")
+    grid = BinGrid(-6.0, 6.0, 60)
+    kernel = build_kernel_matrix(grid, 3, 0.9)
+    save_kernel(path, kernel)
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(corrupt(blob))
+    with pytest.raises(FileFormatError):
+        load_kernel(path)
+    rebuilt = load_or_build_kernel(path, grid, 3, 0.9)
+    assert np.array_equal(rebuilt.entries, kernel.entries)
+    assert np.array_equal(load_kernel(path).entries, kernel.entries)

@@ -1,3 +1,6 @@
+import builtins
+import os
+
 import numpy as np
 import pytest
 from scipy.stats import binom, poisson
@@ -352,6 +355,51 @@ def test_record_format_sniffing(tmp_path):
     save_record_text(t, rec)
     save_record_binary(b, rec)
     assert np.array_equal(load_record(t).xs, load_record(b).xs)
+
+
+class _FailsAfterHeader:
+    """Stands in for a file whose first write (the header) succeeds and whose
+    second stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 1:
+            return self._fh.write(data)
+        self._fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("save", [save_record_text, save_record_binary], ids=["text", "binary"])
+def test_failed_record_write_keeps_previous_record(tmp_path, monkeypatch, save):
+    path = str(tmp_path / "rec")
+    old = sample_record()
+    save(path, old)
+    new = HomodyneRecord(eta=0.8, thetas=np.zeros(1000), xs=np.linspace(-1.0, 1.0, 1000),
+                         seed=1)
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FailsAfterHeader(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    with pytest.raises(OSError, match="disk full"):
+        save(path, new)
+    monkeypatch.undo()
+    back = load_record(path)
+    assert back.eta == old.eta
+    assert np.array_equal(back.xs, old.xs)
+    assert os.listdir(tmp_path) == ["rec"]
 
 
 def test_record_malformed_files_rejected(tmp_path):
