@@ -2,17 +2,21 @@
 
 Walks through the lowest layer of the toolkit: harmonic-oscillator
 wavefunctions, the loss-degraded quadrature densities computed two
-independent ways, and the bin-integrated kernel matrix with its
-column-sum bookkeeping.
+independent ways (binomial mixture and loss channel), and the
+bin-integrated kernel matrix with its column-sum bookkeeping.
 """
 
 import numpy as np
 
-from emtomo import BinGrid, ColumnDeficitError, build_kernel_matrix, fock_wavefunctions
-from emtomo.fock_kernel import (
-    lossy_fock_quadrature_density,
-    lossy_fock_quadrature_density_convolution,
+from emtomo import (
+    BinGrid,
+    ColumnDeficitError,
+    build_kernel_matrix,
+    fock_state,
+    fock_wavefunctions,
+    quadrature_density,
 )
+from emtomo.fock_kernel import lossy_fock_quadrature_density
 
 xs = np.linspace(-6.0, 6.0, 1201)
 psi = fock_wavefunctions(8, xs)
@@ -22,14 +26,16 @@ gram = np.trapezoid(psi[:, None, :] * psi[None, :, :], xs, axis=-1)
 print(f"  max |<m|n> - delta_mn| = {np.max(np.abs(gram - np.eye(9))):.2e}")
 
 # With perfect detection the quadrature density of |n> is psi_n(x)^2.
-# Losses mix in lower Fock densities (binomial weights) which is the same
-# thing as blurring the ideal density with a Gaussian of variance (1-eta)/2.
-print("\nlossy densities, two routes (mixture vs convolution):")
+# Losses mix in lower Fock densities with binomial weights.  The sampler
+# instead applies the loss channel to the density matrix and evaluates the
+# phase density of the damaged state; a Fock state has no phase, so both
+# give the same curve at any theta.
+print("\nlossy densities, two routes (binomial mixture vs loss channel):")
 for n, eta in [(0, 0.8), (3, 0.8), (10, 0.55)]:
     mix = lossy_fock_quadrature_density(n, xs, eta)
-    conv = lossy_fock_quadrature_density_convolution(n, xs, eta)
+    channel = quadrature_density(fock_state(n), 0.0, xs, eta)
     mass = np.trapezoid(mix, xs)
-    print(f"  n={n:2d} eta={eta}: max route gap {np.max(np.abs(mix - conv)):.2e}, "
+    print(f"  n={n:2d} eta={eta}: max route gap {np.max(np.abs(mix - channel)):.2e}, "
           f"mass on [-6, 6] = {mass:.9f}")
 
 # The reconstruction works on histograms, so the continuous densities get

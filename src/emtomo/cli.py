@@ -27,14 +27,13 @@ from .homodyne import (
     sample_homodyne,
     save_record_binary,
     save_record_text,
-    suggest_dim,
 )
+from .oracle import oracle_wigner_grid
 from .pipeline import (
     ReconstructionConfig,
     _read_config_object,
     compare_wigner_grids,
     load_wigner_grid,
-    oracle_wigner_grid,
     reconstruct_wigner_grid,
     save_wigner_grid,
     write_gnuplot_files,
@@ -101,10 +100,7 @@ def _build_state(args: argparse.Namespace):
     if args.state == "fock" and args.n is None:
         raise ValidationError("--n is required for --state fock")
     phase = _parse_phase(args.relative_phase)
-    dim = args.dim
-    if dim is None:
-        dim = suggest_dim(args.state, n=args.n, alpha=alpha)
-    state = make_state(args.state, dim, n=args.n, alpha=alpha, relative_phase=phase)
+    state = make_state(args.state, args.dim, n=args.n, alpha=alpha, relative_phase=phase)
     if args.state == "vacuum":
         label = "vacuum"
     elif args.state == "fock":
@@ -113,7 +109,7 @@ def _build_state(args: argparse.Namespace):
         label = f"coherent(alpha={alpha})"
     else:
         label = f"cat(alpha={alpha}, relative_phase={phase:g})"
-    return state, f"{label} dim={dim}"
+    return state, f"{label} dim={state.dim}"
 
 
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:

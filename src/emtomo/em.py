@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CutoffTooLargeError,
     EmptyHistogramError,
     ModelZeroError,
     ValidationError,
@@ -306,4 +307,6 @@ def default_cutoff(localization_radius: float) -> int:
     if not (np.isfinite(r) and r > 0):
         raise ValidationError(f"localization radius must be positive, got {r}")
     half_sq = 0.5 * r * r
+    if not np.isfinite(half_sq):
+        raise CutoffTooLargeError(f"localization radius {r:g} gives no finite cutoff")
     return int(math.ceil(half_sq - 1e-12 * max(1.0, half_sq)))

@@ -13,9 +13,12 @@ binomial mixture of ideal densities,
 
     A_n(x) = sum_k C(n,k) eta^k (1-eta)^{n-k} psi_k(x)^2,
 
-which is the form used throughout for production code.  The equivalent
+which is the one form the package computes.  The equivalent
 Gaussian-smearing form (convolving psi_n(x/sqrt(eta))^2 with a normal kernel
-of variance (1-eta)/2) is provided as an independent cross-check route.
+of variance (1-eta)/2) is an arbiter, so it lives with the other independent
+routes in ``tests/reference_routes.py``.  :func:`fock_wavefunctions` is the
+one psi recurrence here; the densities, the bin integrals and the phase
+densities of :mod:`emtomo.homodyne` all evaluate it.
 
 A :class:`KernelMatrix` collects per-bin integrals A[nu][n] of A_n over a
 uniform :class:`BinGrid`; these are the response matrices consumed by the
@@ -43,10 +46,6 @@ logger = logging.getLogger(__name__)
 # Above this the recurrence is still finite but callers almost certainly
 # passed a nonsense cutoff; refuse instead of burning memory.
 MAX_FOCK_N = 10_000
-
-# Nodes and half-width (in sigmas) of the convolution route's Gaussian window.
-CONVOLUTION_QUAD_ORDER = 200
-CONVOLUTION_TAIL_SIGMAS = 10.0
 
 # Largest share of its mass a kernel column may lose to the finite bin range
 # before a build or a cache hit is refused.
@@ -107,22 +106,6 @@ def fock_wavefunctions(n_max: int, x) -> np.ndarray:
     return out
 
 
-def fock_wavefunction(n: int, x):
-    """Harmonic oscillator eigenfunction psi_n(x) (vacuum variance 1/2)."""
-    n = _check_order_n(n)
-    xs = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xs)):
-        raise ValidationError("quadrature values must be finite")
-    # Rolling two-term version of the recurrence in fock_wavefunctions.
-    prev = np.pi ** (-0.25) * np.exp(-0.5 * xs * xs)
-    if n == 0:
-        return prev if np.ndim(x) else float(prev)
-    cur = np.sqrt(2.0) * xs * prev
-    for k in range(2, n + 1):
-        cur, prev = np.sqrt(2.0 / k) * xs * cur - np.sqrt((k - 1) / k) * prev, cur
-    return cur if np.ndim(x) else float(cur)
-
-
 def _binomial_mixture_matrix(n_max: int, eta: float) -> np.ndarray:
     """Lower-triangular M with M[n, k] = C(n,k) eta^k (1-eta)^(n-k)."""
     ns = np.arange(n_max + 1)
@@ -159,36 +142,6 @@ def lossy_fock_quadrature_density(n: int, x, eta: float):
     return out if np.ndim(x) else float(out)
 
 
-def lossy_fock_quadrature_density_convolution(n: int, x, eta: float):
-    """Same density as :func:`lossy_fock_quadrature_density`, via smearing.
-
-    Direct numerical convolution of eta^{-1/2} psi_n(x'/sqrt(eta))^2 with a
-    Gaussian of variance (1-eta)/2.  Kept as an independent route for
-    cross-checks; the mixture form is what production code uses.  Evaluation
-    uses |x| (the density is even) so the two routes stay comparable on
-    symmetric grids.
-    """
-    n = _check_order_n(n)
-    eta = _check_eta(eta)
-    xs = np.abs(np.asarray(x, dtype=float))
-    if eta == 1.0:
-        out = fock_wavefunctions(n, xs)[n] ** 2
-        return out if np.ndim(x) else float(out)
-    var = 0.5 * (1.0 - eta)
-    sigma = np.sqrt(var)
-    # Integrate over the Gaussian window; the ideal density is bounded so a
-    # +-10 sigma window leaves a tail far below 1e-12.
-    t, w = np.polynomial.legendre.leggauss(CONVOLUTION_QUAD_ORDER)
-    u = CONVOLUTION_TAIL_SIGMAS * sigma * t  # offsets from x
-    gauss = np.exp(-(u * u) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
-    pts = xs[..., None] - u  # shape x-shape + (quad order,)
-    psi = fock_wavefunction(n, (pts / np.sqrt(eta)).ravel())
-    # density of the eta-scaled variable: psi_n(x'/sqrt(eta))^2 / sqrt(eta)
-    ideal = np.reshape(np.asarray(psi) ** 2, pts.shape) / np.sqrt(eta)
-    out = (CONVOLUTION_TAIL_SIGMAS * sigma) * np.sum(w * gauss * ideal, axis=-1)
-    return out if np.ndim(x) else float(out)
-
-
 @dataclass(frozen=True)
 class BinGrid:
     """Uniform binning of a quadrature interval.
@@ -203,6 +156,8 @@ class BinGrid:
     bin_count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "x_min", float(self.x_min))
+        object.__setattr__(self, "x_max", float(self.x_max))
         if not (np.isfinite(self.x_min) and np.isfinite(self.x_max)):
             raise ValidationError("bin range must be finite")
         if not self.x_max > self.x_min:
@@ -211,8 +166,6 @@ class BinGrid:
             )
         if int(self.bin_count) < 1:
             raise ValidationError(f"bin_count must be >= 1, got {self.bin_count}")
-        object.__setattr__(self, "x_min", float(self.x_min))
-        object.__setattr__(self, "x_max", float(self.x_max))
         object.__setattr__(self, "bin_count", int(self.bin_count))
 
     @property

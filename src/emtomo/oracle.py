@@ -8,7 +8,9 @@ distribution of the displaced state,
     rho_n(q, p) = <n| D(beta)^dag rho D(beta) |n>,    beta = (q + i p)/sqrt(2),
 
 from which the Wigner function follows as W = (1/pi) sum_n (-1)^n rho_n and
-s-ordered smoothings by Gaussian convolution.  Phase-space coordinates are
+s-ordered smoothings by Gaussian convolution.  That parity sum is formed in
+one place, behind :func:`wigner_exact`, :func:`wigner_exact_grid` and
+:func:`oracle_wigner_grid`.  Phase-space coordinates are
 scaled so a coherent state alpha is centered at (sqrt(2) Re alpha,
 sqrt(2) Im alpha) and the vacuum Wigner function is exp(-q^2-p^2)/pi.
 
@@ -34,6 +36,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from .em import PhotonDistribution
 from .errors import TruncationError, ValidationError
 from .homodyne import StateSpec
+from .pipeline import WignerGrid
 
 logger = logging.getLogger(__name__)
 
@@ -125,20 +128,24 @@ def displaced_photon_distribution(
     return dist, tail
 
 
-def _parity_signs(n_max: int) -> np.ndarray:
-    """(-1)^n for n = 0 .. n_max, the oracle's own parity weights."""
-    return 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
+def _wigner_and_tails(state: StateSpec, qs, ps, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's one parity sum W = (1/pi) sum_n (-1)^n rho_n, with the tails.
+
+    Callers decide what a tail above ``DISPLACED_TAIL_TOL`` means.
+    """
+    probs, tails = _displaced_diagonals(state, qs, ps, n_max)
+    signs = 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
+    return (probs @ signs) / np.pi, tails
 
 
 def wigner_exact(state: StateSpec, q: float, p: float, n_max: int) -> float:
     """Exact Wigner function value via the displaced parity expectation."""
-    dist, _tail = displaced_photon_distribution(state, q, p, n_max)
-    return float(_parity_signs(n_max) @ dist.probs) / np.pi
+    return float(wigner_exact_grid(state, [q], [p], n_max)[0])
 
 
 def wigner_exact_grid(state: StateSpec, qs, ps, n_max: int) -> np.ndarray:
-    """Vectorized :func:`wigner_exact` over flat arrays of points."""
-    probs, tails = _displaced_diagonals(state, qs, ps, n_max)
+    """Vectorized :func:`wigner_exact`; raises :class:`TruncationError` on the worst tail."""
+    values, tails = _wigner_and_tails(state, qs, ps, n_max)
     worst = float(tails.max())
     if worst > DISPLACED_TAIL_TOL:
         at = int(np.argmax(tails))
@@ -146,7 +153,38 @@ def wigner_exact_grid(state: StateSpec, qs, ps, n_max: int) -> np.ndarray:
             f"displaced distribution leaves {worst:.3g} above n_max={n_max} "
             f"at point index {at}; raise the cutoff"
         )
-    return (probs @ _parity_signs(n_max)) / np.pi
+    return values
+
+
+def oracle_wigner_grid(state: StateSpec, qs, ps, n_max: int) -> WignerGrid:
+    """Exact Wigner values on a grid, shaped like a reconstruction result.
+
+    Diagnostic columns carry zeros except rho_tail, which records the true
+    probability the displaced distribution leaves above the cutoff.  Points
+    whose tail exceeds ``DISPLACED_TAIL_TOL`` are not trustworthy at this
+    cutoff; they come back NaN with a ``failures`` entry, mirroring how
+    reconstruction grids fail soft.
+    """
+    qs = np.asarray(qs, dtype=float).ravel()
+    ps = np.asarray(ps, dtype=float).ravel()
+    qg, pg = np.meshgrid(qs, ps, indexing="ij")
+    shape = qg.shape
+    values, tails = _wigner_and_tails(state, qg.ravel(), pg.ravel(), n_max)
+    values = values.reshape(shape)
+    tails = np.clip(tails.reshape(shape), 0.0, None)
+    untrusted = tails > DISPLACED_TAIL_TOL
+    values[untrusted] = np.nan
+    failures = {(int(i), int(j)): f"displaced tail {tails[i, j]:.3g} above n_max={n_max}"
+                for i, j in zip(*np.nonzero(untrusted))}
+    return WignerGrid(
+        qs=qs, ps=ps, values=values,
+        iterations=np.zeros(shape, dtype=np.int64),
+        final_loglik=np.zeros(shape),
+        overflow_fraction=np.zeros(shape),
+        rho_tail=tails,
+        failures=failures,
+        meta={"kind": "oracle", "n_max": str(n_max)},
+    )
 
 
 def s_ordered_quasidistribution(

@@ -7,10 +7,11 @@ repeats that point recipe (the expensive kernel is built once and shared),
 failing soft on individual points so a single pathological corner cannot
 destroy an overnight scan.
 
-This module deliberately computes the reconstruction's parity sum itself
-rather than calling into :mod:`emtomo.oracle`: the oracle is the arbiter the
-pipeline is checked against, so the two sides share no evaluation code
-(:func:`oracle_wigner_grid` belongs to the oracle side and uses its helpers).
+This module imports nothing from :mod:`emtomo.oracle`: the oracle is the
+arbiter the pipeline is checked against, so the two sides share no
+evaluation code.  The reconstruction's parity sum is
+:func:`wigner_from_distribution`; the oracle's, and the exact grids shaped
+like reconstruction results (``oracle_wigner_grid``), live in the oracle.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from .fock_kernel import (
     _write_atomically,
     load_or_build_kernel,
 )
-from .homodyne import HomodyneRecord, StateSpec, shift_and_histogram
-from .oracle import DISPLACED_TAIL_TOL, _displaced_diagonals, _parity_signs
+from .homodyne import HomodyneRecord, shift_and_histogram
 
 logger = logging.getLogger(__name__)
 
@@ -51,6 +51,10 @@ MAX_OVERFLOW_FRACTION = 1e-3
 
 # Accepted values of int and float config fields; bool is neither.
 _FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+_FLOAT_MAX = float(np.finfo(float).max)
+# Config fields that count bins, axis steps or iterations; numpy sizes stop at intp.
+_COUNT_FIELDS = ("bin_count", "q_steps", "p_steps", "max_iter")
+_MAX_COUNT = int(np.iinfo(np.intp).max)
 
 
 def wigner_from_distribution(probs) -> float:
@@ -98,40 +102,42 @@ class ReconstructionConfig:
             accepted, label = _FIELD_TYPES[kind]
             if isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValidationError(f"{f.name} must be {label}, got {value!r}")
+            # Written so that NaN fails it; an int beyond the float range fails too.
+            if kind == "float" and not abs(value) <= _FLOAT_MAX:
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
         _check_eta(self.eta)
         if (self.n_max is None) == (self.localization_radius is None):
             raise ValidationError(
                 "set exactly one of n_max and localization_radius"
             )
+        if self.n_max is not None and self.n_max < 0:
+            raise ValidationError(f"n_max must be >= 0, got {self.n_max}")
+        for name in _COUNT_FIELDS:
+            count = getattr(self, name)
+            if not 1 <= count <= _MAX_COUNT:
+                raise ValidationError(f"{name} must lie in [1, {_MAX_COUNT}], got {count}")
         for name in ("q", "p"):
             lo = getattr(self, f"{name}_min")
             hi = getattr(self, f"{name}_max")
             steps = getattr(self, f"{name}_steps")
-            if steps < 1:
-                raise ValidationError(f"{name}_steps must be >= 1, got {steps}")
             if hi < lo:
                 raise ValidationError(f"{name}_max < {name}_min")
             if hi == lo and steps > 1:
                 raise ValidationError(f"degenerate {name} range with {steps} steps")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter}")
 
     def resolve_cutoff(self) -> int:
         if self.n_max is not None:
-            n = int(self.n_max)
-            if n < 0:
-                raise ValidationError(f"n_max must be >= 0, got {self.n_max}")
-            return n
+            return int(self.n_max)
         return default_cutoff(self.localization_radius)
 
     def bin_grid(self) -> BinGrid:
         return BinGrid(self.x_min, self.x_max, self.bin_count)
 
     def q_axis(self) -> np.ndarray:
-        return np.linspace(self.q_min, self.q_max, self.q_steps)
+        return np.linspace(float(self.q_min), float(self.q_max), self.q_steps)
 
     def p_axis(self) -> np.ndarray:
-        return np.linspace(self.p_min, self.p_max, self.p_steps)
+        return np.linspace(float(self.p_min), float(self.p_max), self.p_steps)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -153,8 +159,9 @@ class ReconstructionConfig:
 
 def _read_config_object(path: str) -> dict:
     """The JSON object of a config file, not yet validated as a config."""
+    # Undecodable bytes become U+FFFD: invalid JSON or an unknown key.
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
@@ -173,7 +180,6 @@ class PointDiagnostics:
     rho_tail: float
     converged: bool
     stop_reason: str
-    error: str | None = None
 
 
 def reconstruct_wigner_point(
@@ -311,39 +317,6 @@ def reconstruct_wigner_grid(
     )
 
 
-def oracle_wigner_grid(state: StateSpec, qs, ps, n_max: int) -> WignerGrid:
-    """Exact Wigner values on a grid, shaped like a reconstruction result.
-
-    Diagnostic columns carry zeros except rho_tail, which records the true
-    probability the displaced distribution leaves above the cutoff.  Points
-    whose tail exceeds ``DISPLACED_TAIL_TOL`` are not trustworthy at this
-    cutoff; they come back NaN with a ``failures`` entry, mirroring how
-    reconstruction grids fail soft.
-    """
-    qs = np.asarray(qs, dtype=float).ravel()
-    ps = np.asarray(ps, dtype=float).ravel()
-    qg, pg = np.meshgrid(qs, ps, indexing="ij")
-    probs, tails = _displaced_diagonals(state, qg.ravel(), pg.ravel(), n_max)
-    values = ((probs @ _parity_signs(n_max)) / np.pi).reshape(qg.shape)
-    shape = qg.shape
-    tails = np.clip(tails.reshape(shape), 0.0, None)
-    failures: dict = {}
-    for i, j in zip(*np.nonzero(tails > DISPLACED_TAIL_TOL)):
-        failures[(int(i), int(j))] = (
-            f"displaced tail {tails[i, j]:.3g} above n_max={n_max}"
-        )
-        values[i, j] = np.nan
-    return WignerGrid(
-        qs=qs, ps=ps, values=values,
-        iterations=np.zeros(shape, dtype=np.int64),
-        final_loglik=np.zeros(shape),
-        overflow_fraction=np.zeros(shape),
-        rho_tail=tails,
-        failures=failures,
-        meta={"kind": "oracle", "n_max": str(n_max)},
-    )
-
-
 def _meta_str(value) -> str:
     if value is None:
         return "none"
@@ -462,7 +435,8 @@ def compare_wigner_grids(a: WignerGrid, b: WignerGrid) -> dict:
     """
     if a.qs.size != b.qs.size or a.ps.size != b.ps.size:
         raise ValidationError("grids have different shapes")
-    if (np.max(np.abs(a.qs - b.qs)) > 1e-9) or (np.max(np.abs(a.ps - b.ps)) > 1e-9):
+    # Written as "all close" so that a NaN axis value fails it.
+    if not (np.all(np.abs(a.qs - b.qs) <= 1e-9) and np.all(np.abs(a.ps - b.ps) <= 1e-9)):
         raise ValidationError("grids are sampled at different points")
     diff = a.values - b.values
     ok = np.isfinite(diff)
@@ -485,22 +459,23 @@ def write_gnuplot_files(grid: WignerGrid, out_prefix: str) -> tuple[str, str]:
     """
     dat_path = f"{out_prefix}.dat"
     gp_path = f"{out_prefix}.gp"
-    with open(dat_path, "w") as fh:
-        fh.write("# q p w\n")
-        for i, qv in enumerate(grid.qs):
-            for j, pv in enumerate(grid.ps):
-                fh.write(f"{qv:.17g} {pv:.17g} {grid.values[i, j]:.17g}\n")
-            fh.write("\n")
+    lines = ["# q p w"]
+    for i, qv in enumerate(grid.qs):
+        lines.extend(f"{qv:.17g} {pv:.17g} {grid.values[i, j]:.17g}"
+                     for j, pv in enumerate(grid.ps))
+        lines.append("")
+    data = ("\n".join(lines) + "\n").encode()
     kind = grid.meta.get("kind", "wigner")
-    with open(gp_path, "w") as fh:
-        fh.write(
-            "set title 'Wigner function (%s)'\n"
-            "set xlabel 'q'\n"
-            "set ylabel 'p'\n"
-            "set pm3d at s\n"
-            "set hidden3d\n"
-            "set contour base\n"
-            "splot '%s' using 1:2:3 with pm3d notitle\n"
-            "pause -1 'press return to close'\n" % (kind, dat_path)
-        )
+    script = (
+        "set title 'Wigner function (%s)'\n"
+        "set xlabel 'q'\n"
+        "set ylabel 'p'\n"
+        "set pm3d at s\n"
+        "set hidden3d\n"
+        "set contour base\n"
+        "splot '%s' using 1:2:3 with pm3d notitle\n"
+        "pause -1 'press return to close'\n" % (kind, dat_path)
+    ).encode()
+    _write_atomically(dat_path, lambda fh: fh.write(data))
+    _write_atomically(gp_path, lambda fh: fh.write(script))
     return dat_path, gp_path

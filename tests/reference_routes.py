@@ -2,12 +2,13 @@
 
 These deliberately avoid the code paths the package uses in production:
 the Wigner function is assembled from the closed-form transform of |m><n|
-rather than displaced photon statistics, displacement matrices come
-from exponentiating the generator on a padded space rather than Laguerre
-polynomials, and the mass a lossy Fock density leaves outside a window comes
-from adaptive quadrature of its tails rather than from binned kernels, and
-the bin integrals of those densities come from fixed-order Gauss-Legendre
-quadrature rather than from the closed-form tail recurrence.
+rather than displaced photon statistics; displacement matrices come from
+exponentiating the generator on a padded space rather than Laguerre
+polynomials; a lossy Fock density comes from Gaussian smearing rather than
+the binomial mixture; the mass it leaves outside a window comes from
+adaptive quadrature of its tails rather than binned kernels; and its bin
+integrals come from fixed-order Gauss-Legendre quadrature rather than the
+closed-form tail recurrence.  psi_k comes from this file's own recurrences.
 
 Two routes restate production arithmetic the slow, obvious way, so that a
 faster production path can be required to match them bit for bit: an EM
@@ -53,13 +54,43 @@ def displacement_by_expm(beta: complex, rows: int, cols: int, pad: int = 260) ->
     return expm(gen)[:rows, :cols]
 
 
-def _oscillator_wavefunction(k: int, x: float) -> float:
-    """psi_k(x) (vacuum variance 1/2) by the three-term recurrence."""
+# Nodes and half-width (in sigmas) of the convolution route's Gaussian window.
+CONVOLUTION_QUAD_ORDER = 200
+CONVOLUTION_TAIL_SIGMAS = 10.0
+
+
+def _oscillator_wavefunction(k: int, x):
+    """psi_k(x) (vacuum variance 1/2) by the three-term recurrence; x a float or array."""
     prev = 0.0
     cur = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     for j in range(1, k + 1):
         prev, cur = cur, np.sqrt(2.0 / j) * x * cur - np.sqrt((j - 1.0) / j) * prev
-    return float(cur)
+    return cur
+
+
+def lossy_fock_quadrature_density_convolution(n: int, x, eta: float) -> np.ndarray:
+    """Quadrature density of |n> at efficiency eta by Gaussian smearing.
+
+    Numerical convolution of eta^{-1/2} psi_n(x'/sqrt(eta))^2 with a
+    Gaussian of variance (1-eta)/2, by Gauss-Legendre quadrature over
+    +-10 sigma (the ideal density is bounded, so the neglected tail is far
+    below 1e-12).  It arbitrates the binomial mixture of
+    ``emtomo.fock_kernel.lossy_fock_quadrature_density`` and uses nothing
+    of that module.  It evaluates |x| (the density is even), so the two
+    routes stay comparable on symmetric grids.
+    """
+    xs = np.abs(np.asarray(x, dtype=float))
+    if eta == 1.0:
+        return _oscillator_wavefunction(n, xs) ** 2
+    var = 0.5 * (1.0 - eta)
+    sigma = np.sqrt(var)
+    t, w = np.polynomial.legendre.leggauss(CONVOLUTION_QUAD_ORDER)
+    u = CONVOLUTION_TAIL_SIGMAS * sigma * t  # offsets from x
+    gauss = np.exp(-(u * u) / (2.0 * var)) / np.sqrt(2.0 * np.pi * var)
+    pts = xs[..., None] - u  # shape x-shape + (quad order,)
+    # density of the eta-scaled variable: psi_n(x'/sqrt(eta))^2 / sqrt(eta)
+    ideal = _oscillator_wavefunction(n, pts / np.sqrt(eta)) ** 2 / np.sqrt(eta)
+    return (CONVOLUTION_TAIL_SIGMAS * sigma) * np.sum(w * gauss * ideal, axis=-1)
 
 
 def gauss_legendre_bin_integrals(edges, n_max: int, eta: float) -> np.ndarray:

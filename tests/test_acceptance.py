@@ -32,12 +32,13 @@ from emtomo import (
     wigner_from_distribution,
 )
 from emtomo.em import em_step_frequencies, log_likelihood_frequencies
-from emtomo.fock_kernel import (
-    lossy_fock_quadrature_density,
-    lossy_fock_quadrature_density_convolution,
-)
+from emtomo.fock_kernel import lossy_fock_quadrature_density
 
-from .reference_routes import lossy_fock_mass_outside, wigner_by_fock_kernels
+from .reference_routes import (
+    lossy_fock_mass_outside,
+    lossy_fock_quadrature_density_convolution,
+    wigner_by_fock_kernels,
+)
 
 ONE_OVER_PI = 1.0 / np.pi
 

@@ -182,12 +182,20 @@ def test_missing_file_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: io:")
 
 
-def test_guard_errors_exit_5(workdir, capsys):
+def test_guard_errors_exit_5(workdir, tmp_path, capsys):
     # column 30 loses 12% of its mass outside [-7, 7], so the kernel refuses
     rc = main(recon_args(workdir, out="never.txt", n_max=30))
     assert rc == 5
     err = capsys.readouterr().err
     assert err.startswith("error: guard:")
+    # r^2 / 2 overflows to inf, which no cutoff can cover
+    cfg = small_config_file(tmp_path / "cfg.json", n_max=None, localization_radius=1e200)
+    rc = main(["reconstruct", "--config", cfg, "--record", str(workdir / "rec.txt"),
+               "--out", str(tmp_path / "never.txt")])
+    assert rc == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: guard:")
+    assert not (tmp_path / "never.txt").exists()
     # the same run goes through once the guard is lifted
     rc = main(recon_args(workdir, out="unguarded.txt", n_max=30,
                          max_column_deficit="none", max_iter=20))
@@ -251,6 +259,15 @@ def test_config_without_eta_takes_the_records(workdir, tmp_path, capsys):
     ("q_steps", True),
     ("x_min", "-7"),
     ("plateau_tol", False),
+    ("max_column_deficit", float("nan")),
+    ("plateau_tol", float("nan")),
+    ("q_min", -float("inf")),
+    pytest.param("q_max", 10**400, id="q_max-10**400"),
+    ("n_max", -1),
+    ("bin_count", 10**20),
+    ("q_steps", 10**20),
+    ("p_steps", 10**20),
+    ("max_iter", 10**20),
 ])
 def test_config_value_types_checked(workdir, tmp_path, capsys, field, value):
     rc = main([
@@ -262,6 +279,29 @@ def test_config_value_types_checked(workdir, tmp_path, capsys, field, value):
     assert len(err) == 1 and err[0].startswith("error: config:")
     assert field in err[0]
     assert not (tmp_path / "never.txt").exists()
+
+
+def test_compare_rejects_a_nan_axis(tmp_path, capsys):
+    exact = tmp_path / "exact.txt"
+    assert main([
+        "oracle", "--state", "vacuum", "--n-max", "20",
+        "--q-min", "-1", "--q-max", "1", "--q-steps", "2",
+        "--p-min", "-1", "--p-max", "1", "--p-steps", "2", "--out", str(exact),
+    ]) == 0
+    lines = exact.read_text().splitlines()
+    first = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+    lines[first] = " ".join(["nan"] + lines[first].split()[1:])
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["compare", str(exact), str(exact)]) == 0
+    assert "compared_points 4" in capsys.readouterr().out
+    for argv in (["compare", str(bad), str(exact)], ["compare", str(exact), str(bad)]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config:")
+        assert "max_abs" not in captured.out
 
 
 def _drop_rows(text):

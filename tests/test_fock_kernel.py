@@ -12,16 +12,16 @@ from emtomo import (
     Histogram,
     ValidationError,
     build_kernel_matrix,
-    fock_wavefunction,
     fock_wavefunctions,
     load_kernel,
     load_or_build_kernel,
     lossy_fock_quadrature_density,
     save_kernel,
 )
-from emtomo.fock_kernel import lossy_fock_quadrature_density_convolution
-
-from .reference_routes import gauss_legendre_bin_integrals
+from .reference_routes import (
+    gauss_legendre_bin_integrals,
+    lossy_fock_quadrature_density_convolution,
+)
 
 
 def hermite_route(n, x):
@@ -31,7 +31,7 @@ def hermite_route(n, x):
 
 
 def test_wavefunction_ground_state_value():
-    assert fock_wavefunction(0, 0.0) == pytest.approx(np.pi ** -0.25, abs=1e-15)
+    assert fock_wavefunctions(0, 0.0)[0] == pytest.approx(np.pi ** -0.25, abs=1e-15)
     assert lossy_fock_quadrature_density(0, 0.0, 1.0) == pytest.approx(
         1.0 / np.sqrt(np.pi), abs=1e-15
     )
@@ -39,15 +39,9 @@ def test_wavefunction_ground_state_value():
 
 def test_wavefunction_matches_hermite_formula():
     x = np.linspace(-5.0, 5.0, 41)
+    psi = fock_wavefunctions(25, x)
     for n in range(0, 26, 5):
-        assert np.max(np.abs(fock_wavefunction(n, x) - hermite_route(n, x))) < 1e-10
-
-
-def test_wavefunctions_batch_consistent_with_single():
-    x = np.linspace(-4.0, 4.0, 17)
-    batch = fock_wavefunctions(12, x)
-    for n in (0, 1, 7, 12):
-        assert np.array_equal(batch[n], fock_wavefunction(n, x))
+        assert np.max(np.abs(psi[n] - hermite_route(n, x))) < 1e-10
 
 
 def test_orthonormality_under_quadrature():
@@ -60,20 +54,20 @@ def test_orthonormality_under_quadrature():
 
 def test_wavefunction_large_n_stays_finite():
     x = np.linspace(-50.0, 50.0, 101)
-    vals = fock_wavefunction(1000, x)
+    vals = fock_wavefunctions(1000, x)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals)) < 1.0
 
 
 def test_wavefunction_guards():
     with pytest.raises(CutoffTooLargeError):
-        fock_wavefunction(10_001, 0.0)
+        fock_wavefunctions(10_001, 0.0)
     with pytest.raises(ValidationError):
-        fock_wavefunction(-1, 0.0)
+        fock_wavefunctions(-1, 0.0)
     with pytest.raises(ValidationError):
-        fock_wavefunction(3, np.inf)
+        fock_wavefunctions(3, np.inf)
     with pytest.raises(ValidationError):
-        fock_wavefunction(2.5, 0.0)
+        fock_wavefunctions(2.5, 0.0)
 
 
 def test_lossy_density_routes_agree():
@@ -87,7 +81,7 @@ def test_lossy_density_routes_agree():
 
 def test_lossy_density_reduces_to_ideal_at_unit_efficiency():
     x = np.linspace(-4.0, 4.0, 33)
-    psi = fock_wavefunction(7, x)
+    psi = fock_wavefunctions(7, x)[7]
     assert np.array_equal(lossy_fock_quadrature_density(7, x, 1.0), psi**2)
 
 

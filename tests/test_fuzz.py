@@ -1,12 +1,15 @@
-"""Seeded fuzz test of the file readers behind the command line.
+"""Seeded fuzz test of the files behind the command line.
 
 Valid grid, text-record, binary-record and kernel-cache files are mutated
 a fixed number of times with a fixed seed; ``compare``, ``plot`` and
 ``reconstruct`` (reading the mutant as its record, then as its kernel
-cache) run on every mutant.  Each run must succeed or end in a documented
+cache) run on every mutant.  JSON config files, one with ``n_max`` and one
+with ``localization_radius``, are mutated the same way and read by
+``reconstruct --config``.  Each run must succeed or end in a documented
 exit code with exactly one ``error:`` line on stderr, never a traceback.
 """
 
+import json
 import re
 
 import numpy as np
@@ -70,6 +73,14 @@ def _mutate_binary(data: bytes, rng: np.random.Generator) -> bytes:
     return bytes(out)
 
 
+def _as_json_value(token: str):
+    """The token as JSON would read it ("1e999" is inf), else the token as a string."""
+    try:
+        return json.loads(token)
+    except ValueError:
+        return token
+
+
 @pytest.fixture(scope="module")
 def valid_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
@@ -82,6 +93,21 @@ def valid_files(tmp_path_factory):
     save_wigner_grid(str(d / "grid.txt"), grid)
     save_kernel(str(d / "kernel.bin"), build_kernel_matrix(BinGrid(-6.0, 6.0, 120), 3, 0.9))
     return d
+
+
+def _problem(argv, capsys):
+    """Why ``main(argv)`` did not end cleanly, or None if it did."""
+    try:
+        rc = main(argv)
+    except Exception as exc:  # noqa: BLE001 - a traceback is the finding
+        return f"{argv[0]}: {type(exc).__name__}: {exc}"
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    if rc == 0 and not errors:
+        return None
+    if rc not in DOCUMENTED_EXIT_CODES or len(errors) != 1:
+        return f"{argv[0]}: exit {rc}, errors {errors}"
+    return None
 
 
 @pytest.mark.parametrize("name, seed", [
@@ -108,15 +134,33 @@ def test_mutated_files_fail_cleanly(valid_files, tmp_path, capsys, name, seed):
             reconstruct + ["--record", str(valid_files / "record.txt"),
                            "--kernel-cache", str(mutant)],
         ):
-            try:
-                rc = main(argv)
-            except Exception as exc:  # noqa: BLE001 - a traceback is the finding
-                problems.append(f"{mutant.name} {argv[0]}: {type(exc).__name__}: {exc}")
-                continue
-            errors = [line for line in capsys.readouterr().err.splitlines()
-                      if line.startswith("error:")]
-            if rc == 0 and not errors:
-                continue
-            if rc not in DOCUMENTED_EXIT_CODES or len(errors) != 1:
-                problems.append(f"{mutant.name} {argv[0]}: exit {rc}, errors {errors}")
+            problem = _problem(argv, capsys)
+            if problem:
+                problems.append(f"{mutant.name} {problem}")
+    assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("cutoff, seed", [
+    ({"n_max": 3}, 505), ({"localization_radius": 2.5}, 606),
+], ids=["n_max", "localization_radius"])
+def test_mutated_configs_fail_cleanly(valid_files, tmp_path, capsys, cutoff, seed):
+    config = {"eta": 0.9, "x_min": -6, "x_max": 6, "bin_count": 120, **cutoff,
+              "max_iter": 20, "plateau_tol": 1e-9, "max_column_deficit": 1e-6,
+              "q_min": 0, "q_max": 0, "q_steps": 1, "p_min": 0, "p_max": 0.5, "p_steps": 2}
+    # Every field set to every token, then mangled text with one field per
+    # line, so line mutations hit single fields.
+    mutants = [json.dumps({**config, key: _as_json_value(token)}).encode()
+               for key in config for token in NASTY_TOKENS]
+    rng = np.random.default_rng(seed)
+    text = json.dumps(config, indent=0).encode()
+    mutants += [_mutate_text(text, rng) for _ in range(MUTANTS_PER_FILE)]
+    problems = []
+    for k, data in enumerate(mutants):
+        mutant = tmp_path / f"mutant-{k}.json"
+        mutant.write_bytes(data)
+        problem = _problem(["reconstruct", "--config", str(mutant),
+                            "--record", str(valid_files / "record.txt"),
+                            "--out", str(tmp_path / "out.txt")], capsys)
+        if problem:
+            problems.append(f"{mutant.name} {problem}")
     assert not problems, "\n".join(problems)

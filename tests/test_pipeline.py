@@ -1,9 +1,11 @@
+import ast
 import builtins
 import os
 
 import numpy as np
 import pytest
 
+import emtomo.pipeline
 from emtomo import (
     BinGrid,
     HomodyneRecord,
@@ -262,6 +264,12 @@ def test_compare_grids_norms_and_validation():
             final_loglik=np.zeros((3, 3)), overflow_fraction=np.zeros((3, 3)),
             rho_tail=np.zeros((3, 3)),
         ))
+    for axis in ("qs", "ps"):
+        nan_axis = mk(np.zeros((3, 3)))
+        setattr(nan_axis, axis, np.r_[np.nan, getattr(nan_axis, axis)[1:]])
+        for pair in ((a, nan_axis), (nan_axis, a)):
+            with pytest.raises(ValidationError, match="different points"):
+                compare_wigner_grids(*pair)
 
 
 def test_reconstruction_against_oracle_grid(vacuum_record, vacuum_kernel):
@@ -304,17 +312,21 @@ class _HalfWrittenFile:
         raise OSError("disk full")
 
 
-@pytest.mark.parametrize("kind", ["kernel", "grid"])
+def _contents(directory):
+    return {name: (directory / name).read_bytes() for name in sorted(os.listdir(directory))}
+
+
+@pytest.mark.parametrize("kind", ["kernel", "grid", "gnuplot"])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, kind):
     path = str(tmp_path / "out")
     kernel = build_kernel_matrix(BinGrid(-6.0, 6.0, 60), 3, 0.9)
     grid = oracle_wigner_grid(vacuum_state(), [0.0, 0.5], [0.0, 0.5], 10)
     save = {"kernel": lambda: save_kernel(path, kernel),
-            "grid": lambda: save_wigner_grid(path, grid)}[kind]
+            "grid": lambda: save_wigner_grid(path, grid),
+            "gnuplot": lambda: write_gnuplot_files(grid, path)}[kind]
     save()
-    assert os.listdir(tmp_path) == ["out"]
-    with open(path, "rb") as fh:
-        before = fh.read()
+    before = _contents(tmp_path)
+    assert list(before) == (["out.dat", "out.gp"] if kind == "gnuplot" else ["out"])
     real_open = builtins.open
 
     def failing_open(file, mode="r", *args, **kwargs):
@@ -325,6 +337,18 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, kind):
     with pytest.raises(OSError, match="disk full"):
         save()
     monkeypatch.undo()
-    with open(path, "rb") as fh:
-        assert fh.read() == before
-    assert os.listdir(tmp_path) == ["out"]
+    assert _contents(tmp_path) == before
+
+
+def test_pipeline_imports_nothing_from_oracle():
+    # The oracle arbitrates the pipeline, so the two share no evaluation code.
+    with open(emtomo.pipeline.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert imported and not [m for m in imported if "oracle" in m.split(".")]
