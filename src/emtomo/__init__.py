@@ -73,59 +73,3 @@ from .pipeline import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BinGrid",
-    "ColumnDeficitError",
-    "CutoffTooLargeError",
-    "EmDiagnostics",
-    "EmptyHistogramError",
-    "FileFormatError",
-    "Histogram",
-    "HomodyneRecord",
-    "KernelMatrix",
-    "ModelZeroError",
-    "PhotonDistribution",
-    "PointDiagnostics",
-    "ReconstructionConfig",
-    "ShiftOverflowError",
-    "StateSpec",
-    "TabulationRangeError",
-    "TomographyError",
-    "TruncationError",
-    "ValidationError",
-    "WignerGrid",
-    "apply_loss_channel",
-    "build_kernel_matrix",
-    "cat_state",
-    "coherent_state",
-    "compare_wigner_grids",
-    "default_cutoff",
-    "displaced_photon_distribution",
-    "displacement_amplitudes",
-    "fock_state",
-    "fock_wavefunctions",
-    "load_kernel",
-    "load_or_build_kernel",
-    "load_record",
-    "load_wigner_grid",
-    "lossy_fock_quadrature_density",
-    "make_state",
-    "oracle_wigner_grid",
-    "quadrature_density",
-    "reconstruct_photon_distribution",
-    "reconstruct_wigner_grid",
-    "reconstruct_wigner_point",
-    "s_ordered_quasidistribution",
-    "sample_homodyne",
-    "save_kernel",
-    "save_record_binary",
-    "save_record_text",
-    "save_wigner_grid",
-    "shift_and_histogram",
-    "vacuum_state",
-    "wigner_exact",
-    "wigner_exact_grid",
-    "wigner_from_distribution",
-    "write_gnuplot_files",
-]

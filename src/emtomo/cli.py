@@ -124,8 +124,7 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     state, label = _build_state(args)
     record = sample_homodyne(
-        state, args.phases, args.events, args.eta, args.seed,
-        tab_range=args.tab_range, source=label,
+        state, args.phases, args.events, args.eta, args.seed, source=label,
     )
     if args.format == "binary":
         save_record_binary(args.out, record)
@@ -179,24 +178,14 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    import numpy as np
-
     state, label = _build_state(args)
-    if args.n_max is None and args.localization_radius is None:
-        raise ValidationError("set --n-max or --localization-radius")
-    if args.n_max is not None:
-        n_max = args.n_max
-    else:
-        from .em import default_cutoff
-
-        n_max = default_cutoff(args.localization_radius)
-    defaults = {"q_min": -2.0, "q_max": 2.0, "q_steps": 21,
-                "p_min": -2.0, "p_max": 2.0, "p_steps": 21}
-    vals = {k: getattr(args, k) if getattr(args, k) is not None else v
-            for k, v in defaults.items()}
-    qs = np.linspace(vals["q_min"], vals["q_max"], vals["q_steps"])
-    ps = np.linspace(vals["p_min"], vals["p_max"], vals["p_steps"])
-    grid = oracle_wigner_grid(state, qs, ps, n_max)
+    # A lossless config checks the grid and cutoff flags as reconstruct does.
+    names = ("n_max", "localization_radius",
+             "q_min", "q_max", "q_steps", "p_min", "p_max", "p_steps")
+    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+    config = ReconstructionConfig.from_dict({"eta": 1.0, **given})
+    n_max = config.resolve_cutoff()
+    grid = oracle_wigner_grid(state, config.q_axis(), config.p_axis(), n_max)
     grid.meta["source"] = label
     save_wigner_grid(args.out, grid)
     print(f"wrote exact Wigner grid for {label} (n_max={n_max}) to {args.out}")
@@ -241,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--events", type=int, required=True, help="samples per phase")
     sim.add_argument("--eta", type=float, required=True, help="detection efficiency")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--tab-range", type=float, default=8.0,
-                     help="initial half-range of the sampling density table")
     sim.add_argument("--out", required=True, help="record file to write")
     sim.add_argument("--format", choices=["text", "binary"], default="text")
     sim.set_defaults(func=_cmd_simulate)

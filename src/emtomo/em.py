@@ -164,13 +164,21 @@ def _check_model(model: np.ndarray) -> None:
         raise ModelZeroError("model density vanishes on a bin with observed counts")
 
 
+def _log_likelihood(a_act: np.ndarray, p_act: np.ndarray, rho: np.ndarray) -> float:
+    """L = sum_nu p_nu ln (A rho)_nu over the bins with counts.
+
+    The one evaluator: the public function and the EM trace both call it.
+    """
+    model = a_act @ rho
+    _check_model(model)
+    return float(p_act @ np.log(model))
+
+
 def log_likelihood_frequencies(frequencies, entries, rho) -> float:
     """L = sum_nu p_nu ln (A rho)_nu with the 0 ln 0 convention."""
     p, a, r = _check_pair(frequencies, entries, rho)
     active = p > 0
-    model = a[active] @ r
-    _check_model(model)
-    return float(p[active] @ np.log(model))
+    return _log_likelihood(a[active], p[active], r)
 
 
 def _em_iterate(a_act: np.ndarray, p_act: np.ndarray, rho: np.ndarray,
@@ -255,14 +263,8 @@ def reconstruct_photon_distribution(
     p_act = p[active]
     dim = kernel.n_max + 1
     rho = np.full(dim, 1.0 / dim)
-
-    def loglik(r: np.ndarray) -> float:
-        model = a_act @ r
-        _check_model(model)
-        return float(p_act @ np.log(model))
-
     trace_its = [0]
-    trace_ll = [loglik(rho)]
+    trace_ll = [_log_likelihood(a_act, p_act, rho)]
     worst_renorm = 0.0
     converged = False
     stop_reason = "max-iterations"
@@ -277,7 +279,7 @@ def reconstruct_photon_distribution(
         if not (at_window or it == max_iter):
             continue
         trace_its.append(it)
-        trace_ll.append(loglik(rho))
+        trace_ll.append(_log_likelihood(a_act, p_act, rho))
         if at_window and plateau_tol is not None and trace_ll[-1] - trace_ll[-2] < plateau_tol:
             converged = True
             stop_reason = "plateau"

@@ -109,10 +109,7 @@ def fock_wavefunctions(n_max: int, x) -> np.ndarray:
 def _binomial_mixture_matrix(n_max: int, eta: float) -> np.ndarray:
     """Lower-triangular M with M[n, k] = C(n,k) eta^k (1-eta)^(n-k)."""
     ns = np.arange(n_max + 1)
-    m = np.zeros((n_max + 1, n_max + 1))
-    for n in ns:
-        m[n, : n + 1] = binom.pmf(np.arange(n + 1), n, eta)
-    return m
+    return binom.pmf(ns[None, :], ns[:, None], eta)
 
 
 def _check_eta(eta) -> float:
@@ -129,16 +126,14 @@ def lossy_fock_quadrature_density(n: int, x, eta: float):
     """Quadrature density of Fock state |n> detected with efficiency eta.
 
     Computed as the binomial mixture sum_k C(n,k) eta^k (1-eta)^(n-k)
-    psi_k(x)^2; for eta == 1 this reduces to psi_n(x)^2 exactly.
+    psi_k(x)^2; for eta == 1 the weights are exactly 0 and 1, so this
+    reduces to psi_n(x)^2 exactly.
     """
     n = _check_order_n(n)
     eta = _check_eta(eta)
     psi2 = fock_wavefunctions(n, x) ** 2
-    if eta == 1.0:
-        out = psi2[n]
-    else:
-        weights = binom.pmf(np.arange(n + 1), n, eta)
-        out = np.tensordot(weights, psi2, axes=(0, 0))
+    weights = binom.pmf(np.arange(n + 1), n, eta)
+    out = np.tensordot(weights, psi2, axes=(0, 0))
     return out if np.ndim(x) else float(out)
 
 
@@ -280,10 +275,7 @@ def build_kernel_matrix(
     n_max = _check_order_n(n_max)
     eta = _check_eta(eta)
     ideal = _ideal_bin_integrals(grid, n_max)
-    if eta == 1.0:
-        entries = ideal
-    else:
-        entries = ideal @ _binomial_mixture_matrix(n_max, eta).T
+    entries = ideal @ _binomial_mixture_matrix(n_max, eta).T
     kernel = KernelMatrix(grid=grid, n_max=n_max, eta=eta, entries=entries,
                           column_deficits=1.0 - entries.sum(axis=0))
     _check_column_deficits(kernel, max_column_deficit)

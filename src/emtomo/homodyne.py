@@ -43,6 +43,8 @@ STATE_TAIL_TOL = 1e-10
 TAB_TAIL_TOL = 1e-9
 # Spacing of the sampling density table.
 TAB_STEP = 1e-3
+# Initial half-range of the sampling density table, before any widening.
+TAB_RANGE = 8.0
 # Sample lines a text record formats into one string per write.
 _TEXT_LINES_PER_WRITE = 65536
 
@@ -277,12 +279,11 @@ def sample_homodyne(
     eta: float,
     seed: int,
     *,
-    tab_range: float = 8.0,
     source: str | None = None,
 ) -> HomodyneRecord:
     """Draw homodyne samples at equally spaced phases in [0, pi).
 
-    Per phase, the lossy density is tabulated on [-tab_range, tab_range] in
+    Per phase, the lossy density is tabulated on [-TAB_RANGE, TAB_RANGE] in
     steps of ``TAB_STEP`` (widened by half-steps of 1.5x, up to 8 times,
     while more than 1e-9 of the probability lies outside) and sampled by
     inverse transform.  Each
@@ -302,12 +303,12 @@ def sample_homodyne(
         points = int(np.ceil(2.0 * r / TAB_STEP)) + 1
         return np.linspace(-r, r, points)
 
-    base_grid = tab_grid(tab_range)
+    base_grid = tab_grid(TAB_RANGE)
     base_psi = fock_wavefunctions(lossy.dim - 1, base_grid)
     all_x = np.empty(phase_count * events_per_phase)
     for j, theta in enumerate(thetas):
         grid, psi = base_grid, base_psi
-        radius = tab_range
+        radius = TAB_RANGE
         for attempt in range(9):
             dens = _phase_density(lossy.rho, theta, psi)
             outside = 1.0 - np.trapezoid(np.clip(dens, 0.0, None), grid)

@@ -35,6 +35,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from .em import PhotonDistribution
 from .errors import TruncationError, ValidationError
+from .fock_kernel import _check_order_n
 from .homodyne import StateSpec
 from .pipeline import WignerGrid
 
@@ -89,6 +90,7 @@ def _displaced_diagonals(state: StateSpec, qs: np.ndarray, ps: np.ndarray,
         raise ValidationError("q and p batches must have equal length")
     if not (np.all(np.isfinite(qs)) and np.all(np.isfinite(ps))):
         raise ValidationError("phase-space points must be finite")
+    n_max = _check_order_n(n_max)
     d = state.dim
     cols = n_max + 1
     probs = np.empty((qs.size, cols))

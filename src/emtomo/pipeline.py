@@ -241,6 +241,8 @@ class WignerGrid:
     def __post_init__(self):
         self.qs = np.asarray(self.qs, dtype=float).ravel()
         self.ps = np.asarray(self.ps, dtype=float).ravel()
+        if self.qs.size == 0 or self.ps.size == 0:
+            raise ValidationError("a Wigner grid needs at least one q and one p")
         shape = (self.qs.size, self.ps.size)
         for name in ("values", "iterations", "final_loglik", "overflow_fraction",
                      "rho_tail"):
@@ -308,7 +310,6 @@ def reconstruct_wigner_grid(
         )
     meta = {str(k): _meta_str(v) for k, v in config.to_dict().items()}
     meta["kind"] = "reconstruction"
-    meta["eta"] = _meta_str(config.eta)
     meta["n_max"] = _meta_str(n_max)
     return WignerGrid(
         qs=qs, ps=ps, values=values, iterations=iterations,

@@ -1,8 +1,12 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from emtomo import load_record, load_wigner_grid
-from emtomo.cli import main
+from emtomo.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +232,38 @@ def test_oracle_localization_radius_cutoff(tmp_path, capsys):
     assert "n_max=8" in capsys.readouterr().out
     grid = load_wigner_grid(str(tmp_path / "v.txt"))
     assert grid.values[0, 0] == pytest.approx(1.0 / np.pi, abs=1e-10)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n-max", "-1"],
+    ["--n-max", "10", "--q-steps", "0"],
+    ["--n-max", "10", "--q-steps", "-1"],
+    ["--n-max", "10", "--p-steps", "100000000000000000000"],
+    ["--n-max", "10", "--q-min", "2", "--q-max", "-2"],
+    ["--n-max", "5", "--localization-radius", "4"],
+], ids=["n_max-negative", "q_steps-zero", "q_steps-negative", "p_steps-huge",
+        "q-axis-reversed", "two-cutoffs"])
+def test_oracle_flag_errors_exit_3(tmp_path, capsys, flags):
+    out = tmp_path / "o.txt"
+    rc = main(["oracle", "--state", "vacuum", *flags, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:")
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("emtomo "):
+                commands.append(shlex.split(line)[1:])
+    assert {argv[0] for argv in commands} == {
+        "simulate", "reconstruct", "oracle", "compare", "plot"}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
 
 
 def small_config_file(path, **fields):

@@ -220,9 +220,13 @@ def test_reconstruct_trace_cadence_and_table():
     kernel = build_kernel_matrix(grid, 3, 1.0)
     rng = np.random.default_rng(8)
     hist = Histogram.from_samples(grid, rng.normal(0.0, 0.75, size=5_000))
-    _dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=120)
+    dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=120)
     assert list(diag.trace_iterations) == [0, 100, 120]
     assert diag.final_loglik == diag.loglik_trace[-1]
+    # the trace runs the evaluator behind the public function
+    assert diag.final_loglik == log_likelihood_frequencies(
+        hist.frequencies(), kernel.entries, dist.probs
+    )
 
 
 def test_reconstruct_flat_start_zero_counts_everywhere_but_center():

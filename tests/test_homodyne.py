@@ -30,6 +30,7 @@ from emtomo import (
     shift_and_histogram,
     vacuum_state,
 )
+from emtomo import homodyne
 from emtomo.homodyne import load_record_binary, load_record_text, suggest_dim
 
 
@@ -229,17 +230,19 @@ def test_sampler_histogram_close_to_exact_density():
     assert tv < 5e-3
 
 
-def test_sampler_widens_tabulation_range_when_needed():
+def test_sampler_widens_tabulation_range_when_needed(monkeypatch):
     st = coherent_state(1.5, 20)
-    narrow = sample_homodyne(st, 1, 20_000, 1.0, 9, tab_range=2.0)
-    assert np.max(np.abs(narrow.xs)) > 2.0
     wide = sample_homodyne(st, 1, 20_000, 1.0, 9)
+    monkeypatch.setattr(homodyne, "TAB_RANGE", 2.0)
+    narrow = sample_homodyne(st, 1, 20_000, 1.0, 9)
+    assert np.max(np.abs(narrow.xs)) > 2.0
     assert abs(narrow.xs.mean() - wide.xs.mean()) < 0.02
 
 
-def test_sampler_gives_up_when_range_cannot_hold_density():
+def test_sampler_gives_up_when_range_cannot_hold_density(monkeypatch):
+    monkeypatch.setattr(homodyne, "TAB_RANGE", 0.01)
     with pytest.raises(TabulationRangeError):
-        sample_homodyne(coherent_state(1.0, 16), 1, 10, 1.0, 1, tab_range=0.01)
+        sample_homodyne(coherent_state(1.0, 16), 1, 10, 1.0, 1)
 
 
 def test_sampler_validation():

@@ -14,6 +14,7 @@ from emtomo import (
     displaced_photon_distribution,
     displacement_amplitudes,
     fock_state,
+    oracle_wigner_grid,
     quadrature_density,
     s_ordered_quasidistribution,
     sample_homodyne,
@@ -84,6 +85,13 @@ def test_displaced_tail_guard():
         displaced_photon_distribution(vacuum_state(), 3.0, 3.0, 6)
     with pytest.raises(TruncationError):
         wigner_exact_grid(vacuum_state(), [0.0, 3.0], [0.0, 3.0], 6)
+
+
+def test_negative_cutoff_rejected():
+    with pytest.raises(ValidationError, match="photon number"):
+        wigner_exact(vacuum_state(), 0.0, 0.0, -1)
+    with pytest.raises(ValidationError, match="photon number"):
+        oracle_wigner_grid(vacuum_state(), [0.0], [0.0, 1.0], -1)
 
 
 # ---------------------------------------------------------------- wigner

@@ -191,6 +191,13 @@ def test_oracle_grid_marks_truncation_failures():
     assert grid.rho_tail[1, 1] > 1e-8
 
 
+def test_grid_with_an_empty_axis_rejected():
+    # such a grid would save, but load_wigner_grid refuses q_steps == 0
+    for qs, ps in (([], [0.0, 1.0]), ([0.0, 1.0], [])):
+        with pytest.raises(ValidationError, match="at least one"):
+            oracle_wigner_grid(vacuum_state(), qs, ps, 10)
+
+
 def test_grid_file_round_trip(tmp_path, vacuum_record, vacuum_kernel):
     cfg = small_config(max_iter=60)
     grid = reconstruct_wigner_grid(vacuum_record, cfg, kernel=vacuum_kernel)
