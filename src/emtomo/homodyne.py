@@ -15,6 +15,7 @@ phase so records are reproducible and per-phase streams are independent.
 from __future__ import annotations
 
 import logging
+import os
 import struct
 from dataclasses import dataclass
 
@@ -47,6 +48,8 @@ TAB_STEP = 1e-3
 TAB_RANGE = 8.0
 # Sample lines a text record formats into one string per write.
 _TEXT_LINES_PER_WRITE = 65536
+# Samples the shifted histogram and the binary reader handle per slice.
+_SLICE = 1 << 16
 
 
 @dataclass
@@ -344,30 +347,31 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     (in phase-space coordinates), which is what makes a single phase-averaged
     histogram carry the displaced photon-number distribution.
 
-    Where the phases come in runs (as :func:`sample_homodyne` writes them,
-    at least two samples per run on average) the shift is evaluated once
-    per run and repeated over it; otherwise cos and sin are evaluated at
-    every sample, in place.  Both routes do the same arithmetic for every
-    sample, so the counts do not depend on the route.
+    The record is shifted and binned in slices of ``_SLICE`` samples, so
+    every temporary is slice-sized and none grows with the record.  Where a
+    slice's phases come in runs (as :func:`sample_homodyne` writes them, at
+    least two samples per run on average) the shift is evaluated once per
+    run and repeated over the run's samples; otherwise cos and sin are
+    evaluated at every sample.  Both routes do the same arithmetic
+    for every sample, so the counts depend neither on the route nor on
+    where the slices end.
     """
-    thetas = record.thetas
-    change = thetas[1:] != thetas[:-1]
+    thetas, xs = record.thetas, record.xs
     scale = np.sqrt(record.eta)
-    if 2 * (np.count_nonzero(change) + 1) <= thetas.size:
-        starts = np.flatnonzero(np.concatenate(([True], change)))
-        run_thetas = thetas[starts]
-        run_shift = scale * (q * np.cos(run_thetas) + p * np.sin(run_thetas))
-        shifted = np.repeat(run_shift, np.diff(starts, append=thetas.size))
-    else:
-        shifted = np.cos(thetas)
-        shifted *= q
-        sin_term = np.sin(thetas)
-        sin_term *= p
-        shifted += sin_term
-        del sin_term
-        shifted *= scale
-    np.subtract(record.xs, shifted, out=shifted)
-    counts, overflow = grid.counts_in_place(shifted)
+    counts = np.zeros(grid.bin_count, dtype=np.int64)
+    overflow = 0
+    for start in range(0, xs.size, _SLICE):
+        th = thetas[start : start + _SLICE]
+        starts = np.concatenate(([0], np.flatnonzero(th[1:] != th[:-1]) + 1))
+        if 2 * starts.size <= th.size:
+            run_shift = scale * (q * np.cos(th[starts]) + p * np.sin(th[starts]))
+            shifted = np.repeat(run_shift, np.diff(starts, append=th.size))
+        else:
+            shifted = scale * (q * np.cos(th) + p * np.sin(th))
+        np.subtract(xs[start : start + _SLICE], shifted, out=shifted)
+        slice_counts, slice_overflow = grid.counts_in_place(shifted)
+        counts += slice_counts
+        overflow += slice_overflow
     hist = Histogram(grid=grid, counts=counts, overflow=overflow)
     if hist.total == 0:
         raise EmptyHistogramError(
@@ -406,7 +410,8 @@ def load_record_text(path: str) -> HomodyneRecord:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" in line and "," not in line:
+            # a header's value may hold commas (a cat state's source label)
+            if "=" in line and "," not in line.partition("=")[0]:
                 key, _, value = line.partition("=")
                 header[key.strip()] = value.strip()
                 continue
@@ -456,6 +461,13 @@ def save_record_binary(path: str, record: HomodyneRecord) -> None:
 
 
 def load_record_binary(path: str) -> HomodyneRecord:
+    """Read a binary record written by :func:`save_record_binary`.
+
+    The payload size is checked against the header's sample count before
+    any sample is read.  Samples are then read in slices of ``_SLICE``
+    pairs into one reused buffer and split into the record's ``thetas`` and
+    ``xs``, so the reader holds no full-length copy beyond those two arrays.
+    """
     with open(path, "rb") as fh:
         header = fh.read(_RECORD_HEADER.size)
         if len(header) != _RECORD_HEADER.size:
@@ -465,15 +477,27 @@ def load_record_binary(path: str) -> HomodyneRecord:
             raise FileFormatError(f"{path}: not a binary homodyne record")
         if version != _RECORD_VERSION:
             raise FileFormatError(f"{path}: unsupported record version {version}")
-        raw = fh.read()
-    if count < 1 or len(raw) != 16 * count:
-        raise FileFormatError(
-            f"{path}: expected {16 * count} bytes of sample data, found {len(raw)}"
-        )
-    pairs = np.frombuffer(raw, dtype="<f8").reshape(count, 2)
+        found = os.fstat(fh.fileno()).st_size - _RECORD_HEADER.size
+        if count < 1 or found != 16 * count:
+            raise FileFormatError(
+                f"{path}: expected {16 * count} bytes of sample data, found {found}"
+            )
+        thetas, xs = np.empty(count), np.empty(count)
+        pairs = np.empty((min(_SLICE, count), 2), dtype="<f8")
+        for start in range(0, count, _SLICE):
+            chunk = pairs[: count - start]
+            got = fh.readinto(chunk)
+            if got != chunk.nbytes:  # the file shrank after the size check
+                raise FileFormatError(
+                    f"{path}: expected {16 * count} bytes of sample data, "
+                    f"found {16 * start + got}"
+                )
+            stop = start + len(chunk)
+            thetas[start:stop], xs[start:stop] = chunk.T
+        del pairs, chunk  # freed before the record's checks allocate
     try:
         return HomodyneRecord(
-            eta=float(eta), thetas=pairs[:, 0].copy(), xs=pairs[:, 1].copy(),
+            eta=float(eta), thetas=thetas, xs=xs,
             seed=int(seed), source=source.rstrip(b"\x00").decode("utf-8", "replace"),
         )
     except ValidationError as exc:

@@ -20,6 +20,7 @@ from emtomo import (
     sample_homodyne,
     shift_and_histogram,
 )
+from emtomo import homodyne
 
 from .reference_routes import em_unflushed, shifted_histogram_per_sample
 
@@ -85,3 +86,37 @@ def test_per_sample_phases_match_per_sample_histogram(run_length):
     overflows = [_assert_same_histogram(record, q, p, grid)
                  for q, p in [(0.0, 0.0), (0.7, -1.3), (-2.5, 2.5)]]
     assert all(o > 0 for o in overflows)
+
+
+def _slice_records():
+    rng = np.random.default_rng(2468)
+
+    def record(thetas):
+        return HomodyneRecord(eta=0.85, thetas=thetas,
+                              xs=rng.normal(0.0, 2.0, thetas.size), seed=0)
+
+    def runs(count, length):
+        return np.repeat(rng.uniform(0.0, np.pi, count), length)
+
+    per_sample = rng.uniform(0.0, np.pi, 1_000)
+    return {
+        # with 1000-sample slices: runs of 700 cross every slice edge
+        "straddling-runs": record(runs(10, 700)),
+        "shorter-than-a-slice": record(runs(3, 200)),
+        "last-partial-slice": record(runs(7, 617)),
+        "per-sample-phases": record(rng.uniform(0.0, np.pi, 3_500)),
+        # slices 0 and 2 grouped, 1 and 3 per sample, 4 a grouped remainder
+        "mixed-routes": record(np.concatenate(
+            [runs(4, 250), per_sample, runs(2, 500), per_sample[::-1], runs(1, 321)])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_slice_records()))
+def test_sliced_histogram_matches_per_sample_histogram(monkeypatch, name):
+    record = _slice_records()[name]
+    monkeypatch.setattr(homodyne, "_SLICE", 1_000)
+    grid = BinGrid(-6.0, 6.0, 1_200)
+    overflows = [_assert_same_histogram(record, q, p, grid)
+                 for q, p in [(0.0, 0.0), (0.7, -1.3), (-2.5, 2.5), (5.5, 5.0)]]
+    # the last two points push samples off the grid
+    assert overflows[-2] > 0 and overflows[-1] > 0

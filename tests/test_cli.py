@@ -78,6 +78,27 @@ def test_full_pipeline_round(workdir, capsys):
     assert (workdir / "fig.gp").exists()
 
 
+def test_readme_cat_flow_reads_its_own_record(tmp_path, capsys):
+    # README's simulate -> reconstruct flow, on a smaller record and grid:
+    # the cat's source label puts a comma in the text record's header
+    rec = tmp_path / "cat.rec"
+    assert main([
+        "simulate", "--state", "cat", "--alpha", "1.5j", "--relative-phase", "pi",
+        "--phases", "4", "--events", "500", "--eta", "0.9", "--seed", "777",
+        "--out", str(rec),
+    ]) == 0
+    assert "source=cat(alpha=1.5j, relative_phase=" in rec.read_text()
+    out = tmp_path / "cat_recon.txt"
+    assert main([
+        "reconstruct", "--record", str(rec), "--out", str(out),
+        "--x-min", "-13", "--x-max", "13", "--bin-count", "260", "--n-max", "12",
+        "--max-iter", "50", "--q-min", "-1", "--q-max", "1", "--q-steps", "2",
+        "--p-min", "-1", "--p-max", "1", "--p-steps", "2",
+    ]) == 0
+    assert "reconstructed 4/4 grid points" in capsys.readouterr().out
+    assert load_record(str(rec)).source.startswith("cat(alpha=1.5j, relative_phase=")
+
+
 def test_reconstruct_defaults_eta_from_record(workdir):
     assert main(recon_args(workdir, out="grid_eta.txt")) == 0
     grid = load_wigner_grid(str(workdir / "grid_eta.txt"))

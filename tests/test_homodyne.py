@@ -1,5 +1,7 @@
 import builtins
 import os
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,6 +426,62 @@ def test_record_malformed_files_rejected(tmp_path):
     trunc.write_bytes(trunc.read_bytes()[:-8])
     with pytest.raises(FileFormatError):
         load_record_binary(str(trunc))
+
+
+def test_binary_round_trip_across_slices(tmp_path, monkeypatch):
+    rng = np.random.default_rng(99)
+    rec = HomodyneRecord(eta=0.7, thetas=np.repeat(rng.uniform(0.0, np.pi, 25), 4),
+                         xs=rng.normal(0.0, 1.0, 100), seed=-12, source="sliced")
+    path = str(tmp_path / "rec.bin")
+    save_record_binary(path, rec)
+    monkeypatch.setattr(homodyne, "_SLICE", 7)  # 100 samples: 14 slices and 2 left
+    back = load_record_binary(path)
+    assert (back.eta, back.seed, back.source) == (rec.eta, rec.seed, rec.source)
+    assert np.array_equal(back.thetas, rec.thetas)
+    assert np.array_equal(back.xs, rec.xs)
+
+
+@pytest.mark.parametrize("edit, found", [
+    (lambda data: data[:-8], 1592),
+    (lambda data: data + b"\0" * 8, 1608),
+    (lambda data: data[:-1600], 0),
+], ids=["truncated", "trailing", "no-samples"])
+def test_binary_payload_size_errors(tmp_path, monkeypatch, edit, found):
+    path = tmp_path / "rec.bin"
+    save_record_binary(str(path), HomodyneRecord(
+        eta=0.9, thetas=np.zeros(100), xs=np.ones(100), seed=1))
+    path.write_bytes(edit(path.read_bytes()))
+    monkeypatch.setattr(homodyne, "_SLICE", 7)
+    message = f"{path}: expected 1600 bytes of sample data, found {found}"
+    with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+        load_record_binary(str(path))
+
+
+def _traced_peak(fn, *args):
+    """Peak traced allocation of fn(*args) above what was live before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_reader_and_histogram_stay_within_record_size(tmp_path):
+    count = 1_000_000
+    rng = np.random.default_rng(5)
+    rec = HomodyneRecord(eta=0.85, thetas=np.repeat(np.pi * np.arange(10) / 10, count // 10),
+                         xs=rng.normal(0.0, 1.3, count), seed=3)
+    path = str(tmp_path / "big.bin")
+    save_record_binary(path, rec)
+    del rec
+    back, peak = _traced_peak(load_record_binary, path)
+    # the record keeps 16 B per sample (thetas and xs); the reader may add 10%
+    assert peak <= 1.1 * 16 * count
+    hist, peak = _traced_peak(shift_and_histogram, back, 0.4, -0.2, BinGrid(-8.0, 8.0, 16_000))
+    assert hist.total + hist.overflow == count
+    assert peak <= 4e6
 
 
 def test_record_validation():
