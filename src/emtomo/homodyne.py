@@ -17,7 +17,10 @@ from __future__ import annotations
 import logging
 import os
 import struct
+import warnings
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 from scipy.special import gammaln
@@ -48,6 +51,9 @@ TAB_STEP = 1e-3
 TAB_RANGE = 8.0
 # Sample lines a text record formats into one string per write.
 _TEXT_LINES_PER_WRITE = 65536
+# The ASCII separators, which numpy strips from a number and float() keeps
+# unless the number holds a non-ASCII character.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
 # Samples the shifted histogram and the binary reader handle per slice.
 _SLICE = 1 << 16
 
@@ -232,8 +238,9 @@ class HomodyneRecord:
 
     def __post_init__(self):
         self.eta = _check_eta(self.eta)
-        thetas = np.asarray(self.thetas, dtype=float).ravel()
-        xs = np.asarray(self.xs, dtype=float).ravel()
+        # reshape, unlike ravel, keeps a strided column (a text record's) a view
+        thetas = np.asarray(self.thetas, dtype=float).reshape(-1)
+        xs = np.asarray(self.xs, dtype=float).reshape(-1)
         if thetas.shape != xs.shape:
             raise ValidationError("thetas and xs must have equal length")
         if thetas.size == 0:
@@ -297,6 +304,8 @@ def sample_homodyne(
         raise ValidationError(f"phase_count must be >= 1, got {phase_count}")
     if events_per_phase < 1:
         raise ValidationError(f"events_per_phase must be >= 1, got {events_per_phase}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     eta = _check_eta(eta)
     lossy = apply_loss_channel(state, eta)
     thetas = np.pi * np.arange(phase_count) / phase_count
@@ -386,43 +395,107 @@ def save_record_text(path: str, record: HomodyneRecord) -> None:
     Streamed to a temporary file that is renamed over ``path``, so a failed
     write leaves any previous record intact.
     """
-    line = "{:.17g},{:.17g}\n".format
-
     def write(fh):
         fh.write(f"eta={record.eta:.17g}\nseed={record.seed}\n"
                  f"source={record.source}\n".encode())
         for start in range(0, record.sample_count, _TEXT_LINES_PER_WRITE):
             stop = start + _TEXT_LINES_PER_WRITE
-            fh.write("".join(map(line, record.thetas[start:stop].tolist(),
-                                 record.xs[start:stop].tolist())).encode())
+            pairs = np.column_stack((record.thetas[start:stop], record.xs[start:stop]))
+            fh.write(("%.17g,%.17g\n" * len(pairs) % tuple(pairs.ravel().tolist())).encode())
 
     _write_atomically(path, write)
 
 
-def load_record_text(path: str) -> HomodyneRecord:
+def _header_line(line: str, header: dict[str, str]) -> bool:
+    """Whether a stripped text-record line is blank, a comment or a header.
+
+    A header is stored in ``header``.  Its value may hold commas (a cat
+    state's source label): a line is a header when no comma precedes its "=".
+    """
+    if not line or line.startswith("#"):
+        return True
+    if "=" in line and "," not in line.partition("=")[0]:
+        key, _, value = line.partition("=")
+        header[key.strip()] = value.strip()
+        return True
+    return False
+
+
+def _read_text_by_line(path: str, fh):
+    """Header, thetas and xs of a text record, parsed one line at a time.
+
+    This loop states the line grammar and words every malformed line's error.
+    """
     header: dict[str, str] = {}
     thetas: list[float] = []
     xs: list[float] = []
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if _header_line(line, header):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise FileFormatError(f"{path}:{lineno}: expected 'theta,x', got {line!r}")
+        try:
+            thetas.append(float(parts[0]))
+            xs.append(float(parts[1]))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+    return header, np.asarray(thetas), np.asarray(xs)
+
+
+def _read_text_in_bulk(fh):
+    """Header, thetas and xs of a text record whose samples numpy parses.
+
+    Returns None when the lines after the header block are not all
+    ``theta,x`` pairs that ``np.loadtxt`` reads, so the per-line loop must
+    decide.  The samples are parsed straight from ``fh`` into one (n, 2)
+    array, preallocated from the file's line count so that it never grows.
+    """
+    rows = 1
+    for chunk in iter(partial(fh.read, 1 << 16), ""):
+        if any(sep in chunk for sep in _SEPARATORS):
+            return None
+        rows += chunk.count("\n")
+    fh.seek(0)
+    header: dict[str, str] = {}
+    for line in fh:
+        if not _header_line(line.strip(), header):
+            break
+    else:
+        return None  # no sample line
+    with warnings.catch_warnings():
+        # numpy notes that a blank line (skipped by both readers) is no row
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            pairs = np.loadtxt(chain([line], fh), delimiter=",", comments=None, ndmin=2,
+                               max_rows=rows)
+        except ValueError:
+            return None
+    # Fewer rows than lines shows the parse reached the end of the file.
+    if pairs.shape[1] != 2 or len(pairs) >= rows:
+        return None
+    return header, pairs[:, 0], pairs[:, 1]
+
+
+def load_record_text(path: str) -> HomodyneRecord:
+    """Read a text record written by :func:`save_record_text`.
+
+    The header block is read line by line and the samples after it in one
+    ``np.loadtxt`` pass, whose two columns become the record's thetas and
+    xs.  A file that pass refuses or reads as other than two columns (a
+    header or comment after the first sample, a whitespace-only line, a
+    number such as ``1_0`` that ``float`` reads and numpy does not) is read
+    again by the per-line loop, which gives the record or the error.
+    """
     # As in the binary reader's source field, undecodable bytes become U+FFFD,
     # so they fail to parse as numbers instead of raising UnicodeDecodeError.
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            # a header's value may hold commas (a cat state's source label)
-            if "=" in line and "," not in line.partition("=")[0]:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise FileFormatError(f"{path}:{lineno}: expected 'theta,x', got {line!r}")
-            try:
-                thetas.append(float(parts[0]))
-                xs.append(float(parts[1]))
-            except ValueError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+        parsed = _read_text_in_bulk(fh)
+        if parsed is None:
+            fh.seek(0)
+            parsed = _read_text_by_line(path, fh)
+    header, thetas, xs = parsed
     for key in ("eta", "seed"):
         if key not in header:
             raise FileFormatError(f"{path}: missing {key}= header")
@@ -432,7 +505,7 @@ def load_record_text(path: str) -> HomodyneRecord:
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
     try:
-        return HomodyneRecord(eta=eta, thetas=np.asarray(thetas), xs=np.asarray(xs),
+        return HomodyneRecord(eta=eta, thetas=thetas, xs=xs,
                               seed=seed, source=header.get("source", ""))
     except ValidationError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
@@ -444,6 +517,8 @@ def save_record_binary(path: str, record: HomodyneRecord) -> None:
     Streamed to a temporary file that is renamed over ``path``, so a failed
     write leaves any previous record intact.
     """
+    if not -(1 << 63) <= record.seed < 1 << 63:
+        raise ValidationError(f"seed {record.seed} does not fit a binary record's int64")
     source = record.source.encode("utf-8")[:64]
     header = _RECORD_HEADER.pack(
         _RECORD_MAGIC, _RECORD_VERSION, 0, record.eta, record.seed,

@@ -10,16 +10,19 @@ adaptive quadrature of its tails rather than binned kernels; and its bin
 integrals come from fixed-order Gauss-Legendre quadrature rather than the
 closed-form tail recurrence.  psi_k comes from this file's own recurrences.
 
-Two routes restate production arithmetic the slow, obvious way, so that a
+Three routes restate production arithmetic the slow, obvious way, so that a
 faster production path can be required to match them bit for bit: an EM
-loop that never flushes subnormal entries and allocates every temporary, and
-a shifted histogram that evaluates cos and sin at every sample.
+loop that never flushes subnormal entries and allocates every temporary,
+a shifted histogram that evaluates cos and sin at every sample, and a
+text-record reader that parses every line with ``float``.
 """
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
+
+from emtomo import FileFormatError, HomodyneRecord, ValidationError
 
 
 def wigner_by_fock_kernels(rho: np.ndarray, q: float, p: float) -> float:
@@ -182,3 +185,44 @@ def shifted_histogram_per_sample(thetas, xs, eta, q, p, x_min, x_max, bin_count)
     counts = np.zeros(bin_count, dtype=np.int64)
     np.add.at(counts, np.minimum(idx, bin_count - 1), 1)
     return counts, int(np.count_nonzero(~inside))
+
+
+def load_record_text_per_line(path: str) -> HomodyneRecord:
+    """A text record parsed one line at a time with ``float``; the reference
+    that ``load_record_text`` must match in record and error message."""
+    header: dict[str, str] = {}
+    thetas: list[float] = []
+    xs: list[float] = []
+    # As in the binary reader's source field, undecodable bytes become U+FFFD,
+    # so they fail to parse as numbers instead of raising UnicodeDecodeError.
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            # a header's value may hold commas (a cat state's source label)
+            if "=" in line and "," not in line.partition("=")[0]:
+                key, _, value = line.partition("=")
+                header[key.strip()] = value.strip()
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise FileFormatError(f"{path}:{lineno}: expected 'theta,x', got {line!r}")
+            try:
+                thetas.append(float(parts[0]))
+                xs.append(float(parts[1]))
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+    for key in ("eta", "seed"):
+        if key not in header:
+            raise FileFormatError(f"{path}: missing {key}= header")
+    try:
+        eta = float(header["eta"])
+        seed = int(header["seed"])
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: malformed header: {exc}") from exc
+    try:
+        return HomodyneRecord(eta=eta, thetas=np.asarray(thetas), xs=np.asarray(xs),
+                              seed=seed, source=header.get("source", ""))
+    except ValidationError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc

@@ -184,6 +184,20 @@ def test_config_errors_exit_3(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--seed", "99999999999999999999", "--format", "binary"],
+], ids=["negative", "beyond-int64-binary"])
+def test_simulate_seed_errors_exit_3(tmp_path, capsys, flags):
+    out = tmp_path / "rec"
+    rc = main(["simulate", "--state", "vacuum", "--phases", "1", "--events", "10",
+               "--eta", "0.9", *flags, "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:")
+    assert not out.exists()
+
+
 def test_format_errors_exit_4(tmp_path, capsys):
     mangled = tmp_path / "mangled.txt"
     mangled.write_text("theta x\n0.0 nonsense\n")

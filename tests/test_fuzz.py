@@ -7,16 +7,20 @@ cache) run on every mutant.  JSON config files, one with ``n_max`` and one
 with ``localization_radius``, are mutated the same way and read by
 ``reconstruct --config``.  Each run must succeed or end in a documented
 exit code with exactly one ``error:`` line on stderr, never a traceback.
+Text-record mutants and named edge cases must also read exactly as the
+per-line reference reader reads them.
 """
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from emtomo import (
     BinGrid,
+    FileFormatError,
     build_kernel_matrix,
     oracle_wigner_grid,
     sample_homodyne,
@@ -26,7 +30,10 @@ from emtomo import (
     save_wigner_grid,
     vacuum_state,
 )
+from emtomo import homodyne
 from emtomo.cli import main
+
+from .reference_routes import load_record_text_per_line
 
 MUTANTS_PER_FILE = 60
 DOCUMENTED_EXIT_CODES = {3, 4, 5}
@@ -164,3 +171,71 @@ def test_mutated_configs_fail_cleanly(valid_files, tmp_path, capsys, cutoff, see
         if problem:
             problems.append(f"{mutant.name} {problem}")
     assert not problems, "\n".join(problems)
+
+
+def _text_read(load, path):
+    """What ``load(path)`` makes of a text record: its fields, or its error."""
+    try:
+        rec = load(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return rec.eta, rec.seed, rec.source, rec.thetas.tobytes(), rec.xs.tobytes()
+
+
+HEAD = "eta=0.9\nseed=1\nsource=s, with a comma\n"
+
+
+@pytest.mark.parametrize("text, bulk", [
+    (HEAD + "0.5,1.5\n1,-0\n", True),
+    (HEAD + "0.5,1.5\neta=0.7\n1,2\n", False),
+    (HEAD + "0.5,1.5\n# note\n1,2\n", False),
+    (HEAD + "0.5,1.5\n\n1,2\n\n", True),
+    (HEAD + "0.5,1.5\n \t\n1,2\n", False),
+    ((HEAD + "0.5,1.5\n1,2\n").replace("\n", "\r\n"), True),
+    (HEAD + "0.5,1.5\n1,2", True),
+    (HEAD + "0.5,1.5\n1_0,2\n", False),
+    (HEAD + "0.5,1.5\n\u0661,2\n", False),
+    (HEAD + "0.5,1.5\n1\x1c,2\n", False),
+    (HEAD + "0.5,1.5,\n1,2\n", False),
+    (HEAD + "0.5,1.5,2.5\n1,2,3\n", False),
+    (HEAD + "0.5\n1\n", False),
+    (HEAD, False),
+    (HEAD + "0.5,nan\n", True),
+    (HEAD + "1e999,0.5\n", True),
+], ids=["clean", "header-after-data", "mid-body-comment", "blank-lines", "whitespace-line",
+        "crlf", "no-final-newline", "underscore", "arabic-indic-digit", "ascii-separator",
+        "trailing-comma", "three-fields", "one-field", "header-only", "nan", "1e999"])
+def test_text_reader_matches_per_line_reader(tmp_path, monkeypatch, text, bulk):
+    path = tmp_path / "rec.txt"
+    path.write_bytes(text.encode())
+    parses = []
+    in_bulk = homodyne._read_text_in_bulk
+
+    def spy(fh):
+        parses.append(in_bulk(fh))
+        return parses[-1]
+
+    monkeypatch.setattr(homodyne, "_read_text_in_bulk", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning may escape the reader
+        got = _text_read(homodyne.load_record_text, str(path))
+    assert got == _text_read(load_record_text_per_line, str(path))
+    assert (parses[0] is not None) == bulk
+    if text == HEAD:
+        assert got == f"{path}: record holds no samples"
+
+
+def test_text_reader_matches_per_line_reader_on_mutants(valid_files, tmp_path):
+    original = (valid_files / "record.txt").read_bytes()
+    rng = np.random.default_rng(707)
+    mismatches = []
+    for k in range(10 * MUTANTS_PER_FILE):
+        mutant = tmp_path / f"mutant-{k}.txt"
+        data = _mutate_text(original, rng)
+        if k % 2 and data:  # every other mutant is mutated twice
+            data = _mutate_text(data, rng)
+        mutant.write_bytes(data)
+        got = _text_read(homodyne.load_record_text, str(mutant))
+        if got != _text_read(load_record_text_per_line, str(mutant)):
+            mismatches.append(f"{mutant.name}: {data!r}")
+    assert not mismatches, "\n".join(mismatches)

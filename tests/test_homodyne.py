@@ -255,6 +255,8 @@ def test_sampler_validation():
         sample_homodyne(st, 1, 0, 1.0, 1)
     with pytest.raises(ValidationError):
         sample_homodyne(st, 1, 10, 0.0, 1)
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        sample_homodyne(st, 1, 10, 1.0, -1)
 
 
 # ---------------------------------------------------------------- shifting
@@ -339,6 +341,22 @@ def test_record_text_round_trip_is_exact(tmp_path):
     assert back.source == rec.source
     assert np.array_equal(back.thetas, rec.thetas)
     assert np.array_equal(back.xs, rec.xs)
+
+
+def test_record_text_bytes_match_per_value_formatting(tmp_path, monkeypatch):
+    thetas = np.array([0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.1, np.pi])
+    xs = np.array([-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5, 1e-300, 2.0**-1022,
+                   0.1 + 0.2, -7.0])
+    rec = HomodyneRecord(eta=0.85, thetas=thetas, xs=xs, seed=2**70, source="a, b")
+    monkeypatch.setattr(homodyne, "_TEXT_LINES_PER_WRITE", 4)  # 4 + 4 + a partial 2
+    path = tmp_path / "rec.txt"
+    save_record_text(str(path), rec)
+    expected = "eta=0.84999999999999998\nseed=1180591620717411303424\nsource=a, b\n" + "".join(
+        "{:.17g},{:.17g}\n".format(t, x) for t, x in zip(thetas.tolist(), xs.tolist()))
+    assert path.read_bytes() == expected.encode()
+    back = load_record_text(str(path))
+    assert back.seed == 2**70
+    assert np.array_equal(back.xs, xs) and np.signbit(back.xs[0])
 
 
 def test_record_binary_round_trip_is_exact(tmp_path):
@@ -482,6 +500,19 @@ def test_reader_and_histogram_stay_within_record_size(tmp_path):
     hist, peak = _traced_peak(shift_and_histogram, back, 0.4, -0.2, BinGrid(-8.0, 8.0, 16_000))
     assert hist.total + hist.overflow == count
     assert peak <= 4e6
+
+
+def test_text_reader_stays_within_record_size(tmp_path):
+    count = 1_000_000
+    rng = np.random.default_rng(6)
+    rec = HomodyneRecord(eta=0.85, thetas=np.repeat(np.pi * np.arange(10) / 10, count // 10),
+                         xs=rng.normal(0.0, 1.3, count), seed=3)
+    path = str(tmp_path / "big.txt")
+    save_record_text(path, rec)
+    back, peak = _traced_peak(load_record_text, path)
+    assert np.array_equal(back.xs, rec.xs)
+    # the record keeps 16 B per sample (thetas and xs); the reader may add 10%
+    assert peak <= 1.1 * 16 * count
 
 
 def test_record_validation():
