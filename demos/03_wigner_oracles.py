@@ -1,9 +1,9 @@
 """Exact phase-space values used to judge reconstructions.
 
 Shows the alternating-sum Wigner evaluator on states with known closed
-forms, the displaced photon distributions it is built from, Gaussian
-smoothing to other quasiprobability orderings, and the identity linking
-detector loss to smoothing.
+forms, the displaced photon distributions it is built from, the weighted
+sums of the same distributions that give other quasiprobability orderings,
+and the identity linking detector loss to Gaussian smoothing.
 """
 
 from math import factorial
@@ -46,11 +46,10 @@ ref = lam ** np.arange(31) * np.exp(-lam) / \
 print(f"\ndisplaced vacuum at ({q}, {p}): mean {dist.mean():.6f} "
       f"(expected {lam:.6f}), max gap to Poisson {np.max(np.abs(dist.probs - ref)):.2e}")
 
-# Gaussian smoothing of the Wigner function gives the s-ordered family;
-# one unit of smoothing is the Husimi function, which is never negative.
-# one unit of smoothing integrates over a wide window, and the displaced
-# state at its far corner holds ~45 photons on average, hence the deep cutoff
-husimi0 = s_ordered_quasidistribution(odd_cat, 0.0, 0.0, 1.0, 110)
+# Gaussian smoothing of the Wigner function gives the s-ordered family, each a
+# weighted sum of the same displaced distribution; one unit of smoothing is
+# the Husimi function rho_0 / (2 pi), which is never negative.
+husimi0 = s_ordered_quasidistribution(odd_cat, 0.0, 0.0, 1.0, 40)
 print(f"\nodd cat Husimi value at the origin: {husimi0:.3e} (>= 0 even though "
       "the Wigner value is -1/pi)")
 vac_h = s_ordered_quasidistribution(vacuum_state(), 0.0, 0.0, 1.0, 90)

@@ -31,6 +31,7 @@ from .homodyne import (
 from .oracle import oracle_wigner_grid
 from .pipeline import (
     ReconstructionConfig,
+    _check_field_type,
     _read_config_object,
     compare_wigner_grids,
     load_wigner_grid,
@@ -68,10 +69,8 @@ def _parse_phase(text: str) -> float:
 
 
 def _parse_deficit(text: str):
-    # "none" must survive the None-means-unset override merge, so keep it as a
-    # marker string here and translate when assembling the config
     if text.strip().lower() == "none":
-        return "none"
+        return None
     try:
         return float(text)
     except ValueError:
@@ -113,12 +112,17 @@ def _build_state(args: argparse.Namespace):
 
 
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--q-min", type=float, default=None)
-    parser.add_argument("--q-max", type=float, default=None)
-    parser.add_argument("--q-steps", type=int, default=None)
-    parser.add_argument("--p-min", type=float, default=None)
-    parser.add_argument("--p-max", type=float, default=None)
-    parser.add_argument("--p-steps", type=int, default=None)
+    parser.add_argument("--q-min", type=float)
+    parser.add_argument("--q-max", type=float)
+    parser.add_argument("--q-steps", type=int)
+    parser.add_argument("--p-min", type=float)
+    parser.add_argument("--p-max", type=float)
+    parser.add_argument("--p-steps", type=int)
+
+
+def _given_fields(args: argparse.Namespace) -> dict:
+    """The config fields set by flags; a flag left out sets no attribute."""
+    return {k: v for k, v in vars(args).items() if k in ReconstructionConfig.__annotations__}
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -139,23 +143,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_reconstruct(args: argparse.Namespace) -> int:
     # Validated once, after the file, the flags and the record's eta merge.
-    data = _read_config_object(args.config) if args.config else {}
-    overrides = {
-        "eta": args.eta, "x_min": args.x_min, "x_max": args.x_max,
-        "bin_count": args.bin_count, "n_max": args.n_max,
-        "localization_radius": args.localization_radius,
-        "max_iter": args.max_iter, "plateau_tol": args.plateau_tol,
-        "q_min": args.q_min, "q_max": args.q_max, "q_steps": args.q_steps,
-        "p_min": args.p_min, "p_max": args.p_max, "p_steps": args.p_steps,
-        "record_path": args.record, "output_path": args.out,
-        "kernel_cache": args.kernel_cache,
-        "max_column_deficit": args.max_column_deficit,
-    }
-    data.update({k: v for k, v in overrides.items() if v is not None})
-    if data.get("max_column_deficit") == "none":
-        data["max_column_deficit"] = None
+    data = _read_config_object(args.config) if "config" in args else {}
+    data.update(_given_fields(args))
     if data.get("record_path") is None:
         raise ValidationError("no record file given (--record or config record_path)")
+    _check_field_type("record_path", data["record_path"])
     record = load_record(data["record_path"])
     if data.get("eta") is None:
         data["eta"] = record.eta
@@ -180,10 +172,7 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     state, label = _build_state(args)
     # A lossless config checks the grid and cutoff flags as reconstruct does.
-    names = ("n_max", "localization_radius",
-             "q_min", "q_max", "q_steps", "p_min", "p_max", "p_steps")
-    given = {k: getattr(args, k) for k in names if getattr(args, k) is not None}
-    config = ReconstructionConfig.from_dict({"eta": 1.0, **given})
+    config = ReconstructionConfig.from_dict({"eta": 1.0, **_given_fields(args)})
     n_max = config.resolve_cutoff()
     grid = oracle_wigner_grid(state, config.q_axis(), config.p_axis(), n_max)
     grid.meta["source"] = label
@@ -234,32 +223,34 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--format", choices=["text", "binary"], default="text")
     sim.set_defaults(func=_cmd_simulate)
 
-    rec = sub.add_parser("reconstruct", help="reconstruct a Wigner grid from a record")
-    rec.add_argument("--record", default=None, help="record file (text or binary)")
-    rec.add_argument("--out", default=None, help="grid file to write")
-    rec.add_argument("--config", default=None, help="JSON file of config fields")
-    rec.add_argument("--eta", type=float, default=None,
-                     help="detection efficiency (default: the record's)")
-    rec.add_argument("--x-min", type=float, default=None)
-    rec.add_argument("--x-max", type=float, default=None)
-    rec.add_argument("--bin-count", type=int, default=None)
-    rec.add_argument("--n-max", type=int, default=None, help="photon-number cutoff")
-    rec.add_argument("--localization-radius", type=float, default=None,
+    # Here a flag left out sets no attribute, and a config field's flag has its name.
+    rec = sub.add_parser("reconstruct", help="reconstruct a Wigner grid from a record",
+                         argument_default=argparse.SUPPRESS)
+    rec.add_argument("--record", dest="record_path", metavar="RECORD",
+                     help="record file (text or binary)")
+    rec.add_argument("--out", dest="output_path", metavar="OUT", help="grid file to write")
+    rec.add_argument("--config", help="JSON file of config fields")
+    rec.add_argument("--eta", type=float, help="detection efficiency (default: the record's)")
+    rec.add_argument("--x-min", type=float)
+    rec.add_argument("--x-max", type=float)
+    rec.add_argument("--bin-count", type=int)
+    rec.add_argument("--n-max", type=int, help="photon-number cutoff")
+    rec.add_argument("--localization-radius", type=float,
                      help="phase-space radius to derive the cutoff from")
-    rec.add_argument("--max-iter", type=int, default=None)
-    rec.add_argument("--plateau-tol", type=float, default=None,
+    rec.add_argument("--max-iter", type=int)
+    rec.add_argument("--plateau-tol", type=float,
                      help="stop once the 100-iteration likelihood gain drops below this")
     _add_grid_args(rec)
-    rec.add_argument("--kernel-cache", default=None,
-                     help="binary kernel cache file to reuse or create")
-    rec.add_argument("--max-column-deficit", type=_parse_deficit, default=None,
+    rec.add_argument("--kernel-cache", help="binary kernel cache file to reuse or create")
+    rec.add_argument("--max-column-deficit", type=_parse_deficit,
                      help="kernel column-sum guard; 'none' disables")
     rec.set_defaults(func=_cmd_reconstruct)
 
-    orc = sub.add_parser("oracle", help="write the exact Wigner grid of a known state")
+    orc = sub.add_parser("oracle", help="write the exact Wigner grid of a known state",
+                         argument_default=argparse.SUPPRESS)
     _add_state_args(orc)
-    orc.add_argument("--n-max", type=int, default=None)
-    orc.add_argument("--localization-radius", type=float, default=None)
+    orc.add_argument("--n-max", type=int)
+    orc.add_argument("--localization-radius", type=float)
     _add_grid_args(orc)
     orc.add_argument("--out", required=True)
     orc.set_defaults(func=_cmd_oracle)

@@ -393,8 +393,12 @@ def save_record_text(path: str, record: HomodyneRecord) -> None:
     """Plain-text record: eta=, seed=, source= headers, then theta,x lines.
 
     Streamed to a temporary file that is renamed over ``path``, so a failed
-    write leaves any previous record intact.
+    write leaves any previous record intact.  A ``source`` holding a line
+    break is refused: it would reload as other headers or samples.
     """
+    if "\n" in record.source or "\r" in record.source:
+        raise ValidationError(f"a text record's source cannot hold a line break: {record.source!r}")
+
     def write(fh):
         fh.write(f"eta={record.eta:.17g}\nseed={record.seed}\n"
                  f"source={record.source}\n".encode())

@@ -7,12 +7,17 @@ distribution of the displaced state,
 
     rho_n(q, p) = <n| D(beta)^dag rho D(beta) |n>,    beta = (q + i p)/sqrt(2),
 
-from which the Wigner function follows as W = (1/pi) sum_n (-1)^n rho_n and
-s-ordered smoothings by Gaussian convolution.  That parity sum is formed in
-one place, behind :func:`wigner_exact`, :func:`wigner_exact_grid` and
-:func:`oracle_wigner_grid`.  Phase-space coordinates are
-scaled so a coherent state alpha is centered at (sqrt(2) Re alpha,
-sqrt(2) Im alpha) and the vacuum Wigner function is exp(-q^2-p^2)/pi.
+from which every s-ordered quasi-probability follows as one weighted sum
+(Cahill & Glauber, Phys. Rev. 177, 1882 (1969)),
+
+    P(q, p; -s) = sum_n ((s - 1)/(s + 1))^n rho_n(q, p) / (pi (1 + s)),
+
+whose s = 0 case is the Wigner function W = (1/pi) sum_n (-1)^n rho_n.  That
+sum is formed in one place, behind :func:`wigner_exact`,
+:func:`wigner_exact_grid`, :func:`oracle_wigner_grid` and
+:func:`s_ordered_quasidistribution`.  Phase-space coordinates are scaled so a
+coherent state alpha is centered at (sqrt(2) Re alpha, sqrt(2) Im alpha) and
+the vacuum Wigner function is exp(-q^2-p^2)/pi.
 
 Displacement matrix elements use the associated-Laguerre closed form
 
@@ -28,8 +33,6 @@ test suite).
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
@@ -39,12 +42,8 @@ from .fock_kernel import _check_order_n
 from .homodyne import StateSpec
 from .pipeline import WignerGrid
 
-logger = logging.getLogger(__name__)
-
 # Displaced-distribution mass allowed above the cutoff before refusing.
 DISPLACED_TAIL_TOL = 1e-8
-# Gauss-Legendre nodes per axis of the s-ordered smoothing integral.
-S_ORDERED_QUAD_ORDER = 64
 
 
 def _displacement_blocks(betas: np.ndarray, rows: int, cols: int) -> np.ndarray:
@@ -109,6 +108,18 @@ def _displaced_diagonals(state: StateSpec, qs: np.ndarray, ps: np.ndarray,
     return probs, tails
 
 
+def _refuse_tails(qs, ps, tails: np.ndarray, n_max: int) -> None:
+    """Raise :class:`TruncationError`, naming the worst point, when a tail
+    exceeds ``DISPLACED_TAIL_TOL``."""
+    at = int(np.argmax(tails))
+    if tails[at] > DISPLACED_TAIL_TOL:
+        q, p = np.ravel(qs)[at], np.ravel(ps)[at]
+        raise TruncationError(
+            f"displaced distribution at (q={q:g}, p={p:g}) leaves {tails[at]:.3g} "
+            f"above n_max={n_max}; raise the cutoff"
+        )
+
+
 def displaced_photon_distribution(
     state: StateSpec, q: float, p: float, n_max: int,
 ) -> tuple[PhotonDistribution, float]:
@@ -120,24 +131,22 @@ def displaced_photon_distribution(
     (the tail is part of the answer, not an error to hide).
     """
     probs, tails = _displaced_diagonals(state, [q], [p], n_max)
-    tail = max(float(tails[0]), 0.0)
-    if tail > DISPLACED_TAIL_TOL:
-        raise TruncationError(
-            f"displaced distribution at (q={q:g}, p={p:g}) leaves {tail:.3g} "
-            f"above n_max={n_max}; raise the cutoff"
-        )
+    _refuse_tails([q], [p], tails, n_max)
     dist = PhotonDistribution(np.clip(probs[0], 0.0, None), atol=10.0 * DISPLACED_TAIL_TOL)
-    return dist, tail
+    return dist, max(float(tails[0]), 0.0)
 
 
-def _wigner_and_tails(state: StateSpec, qs, ps, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's one parity sum W = (1/pi) sum_n (-1)^n rho_n, with the tails.
+def _quasi_and_tails(state: StateSpec, qs, ps, n_max: int,
+                     s: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's one weighted sum P(q, p; -s), with the tails.
 
-    Callers decide what a tail above ``DISPLACED_TAIL_TOL`` means.
+    s = 0 is the parity sum W = (1/pi) sum_n (-1)^n rho_n: its weights are
+    exactly +-1 and its divisor exactly pi.  Callers decide what a tail
+    above ``DISPLACED_TAIL_TOL`` means.
     """
     probs, tails = _displaced_diagonals(state, qs, ps, n_max)
-    signs = 1.0 - 2.0 * (np.arange(n_max + 1) % 2)
-    return (probs @ signs) / np.pi, tails
+    weights = ((s - 1.0) / (s + 1.0)) ** np.arange(n_max + 1)
+    return (probs @ weights) / (np.pi * (1.0 + s)), tails
 
 
 def wigner_exact(state: StateSpec, q: float, p: float, n_max: int) -> float:
@@ -147,14 +156,8 @@ def wigner_exact(state: StateSpec, q: float, p: float, n_max: int) -> float:
 
 def wigner_exact_grid(state: StateSpec, qs, ps, n_max: int) -> np.ndarray:
     """Vectorized :func:`wigner_exact`; raises :class:`TruncationError` on the worst tail."""
-    values, tails = _wigner_and_tails(state, qs, ps, n_max)
-    worst = float(tails.max())
-    if worst > DISPLACED_TAIL_TOL:
-        at = int(np.argmax(tails))
-        raise TruncationError(
-            f"displaced distribution leaves {worst:.3g} above n_max={n_max} "
-            f"at point index {at}; raise the cutoff"
-        )
+    values, tails = _quasi_and_tails(state, qs, ps, n_max)
+    _refuse_tails(qs, ps, tails, n_max)
     return values
 
 
@@ -171,7 +174,7 @@ def oracle_wigner_grid(state: StateSpec, qs, ps, n_max: int) -> WignerGrid:
     ps = np.asarray(ps, dtype=float).ravel()
     qg, pg = np.meshgrid(qs, ps, indexing="ij")
     shape = qg.shape
-    values, tails = _wigner_and_tails(state, qg.ravel(), pg.ravel(), n_max)
+    values, tails = _quasi_and_tails(state, qg.ravel(), pg.ravel(), n_max)
     values = values.reshape(shape)
     tails = np.clip(tails.reshape(shape), 0.0, None)
     untrusted = tails > DISPLACED_TAIL_TOL
@@ -194,25 +197,18 @@ def s_ordered_quasidistribution(
 ) -> float:
     """Quasidistribution of negative order parameter -|s| at one point.
 
-    Computed by Gaussian convolution of the Wigner function,
+    The Wigner function smoothed by a Gaussian,
 
         P(q, p; -s) = (1/(pi s)) int W(q', p') exp(-((q-q')^2+(p-p')^2)/s),
 
-    over a window large enough that the neglected Gaussian tail is below
-    1e-9 of the total.  s_abs = 1 gives the Husimi function; s_abs -> 0
-    approaches the Wigner function itself.
+    is the weighted sum of the displaced distribution at (q, p) itself, so
+    the cutoff need only cover that point.  s_abs = 1 gives the Husimi
+    function rho_0(q, p) / (2 pi); s_abs -> 0 approaches the Wigner
+    function itself.
     """
     s = float(s_abs)
     if not (np.isfinite(s) and s > 0):
         raise ValidationError(f"s_abs must be positive, got {s_abs}")
-    # Window where exp(-R^2/s) reaches 1e-12; |W| <= 1/pi keeps the
-    # neglected mass well under 1e-9.
-    radius = np.sqrt(s * np.log(1e12))
-    t, w = np.polynomial.legendre.leggauss(S_ORDERED_QUAD_ORDER)
-    qq = q + radius * t
-    pp = p + radius * t
-    qg, pg = np.meshgrid(qq, pp, indexing="ij")
-    wg = np.outer(w, w) * radius * radius
-    wig = wigner_exact_grid(state, qg.ravel(), pg.ravel(), n_max).reshape(qg.shape)
-    gauss = np.exp(-((qg - q) ** 2 + (pg - p) ** 2) / s)
-    return float(np.sum(wg * gauss * wig) / (np.pi * s))
+    values, tails = _quasi_and_tails(state, [q], [p], n_max, s)
+    _refuse_tails([q], [p], tails, n_max)
+    return float(values[0])

@@ -49,8 +49,9 @@ logger = logging.getLogger(__name__)
 # point reconstruction is refused as unreliable.
 MAX_OVERFLOW_FRACTION = 1e-3
 
-# Accepted values of int and float config fields; bool is neither.
-_FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
+# Accepted values of int, float and str config fields; bool is none of them.
+_FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                "str": (str, "a string")}
 _FLOAT_MAX = float(np.finfo(float).max)
 # Config fields that count bins, axis steps or iterations; numpy sizes stop at intp.
 _COUNT_FIELDS = ("bin_count", "q_steps", "p_steps", "max_iter")
@@ -94,17 +95,7 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            # f.type is the annotation as written ("int", "float | None", ...)
-            kind, _, optional = f.type.partition(" | ")
-            value = getattr(self, f.name)
-            if kind not in _FIELD_TYPES or (value is None and optional):
-                continue
-            accepted, label = _FIELD_TYPES[kind]
-            if isinstance(value, bool) or not isinstance(value, accepted):
-                raise ValidationError(f"{f.name} must be {label}, got {value!r}")
-            # Written so that NaN fails it; an int beyond the float range fails too.
-            if kind == "float" and not abs(value) <= _FLOAT_MAX:
-                raise ValidationError(f"{f.name} must be finite, got {value!r}")
+            _check_field_type(f.name, getattr(self, f.name))
         _check_eta(self.eta)
         if (self.n_max is None) == (self.localization_radius is None):
             raise ValidationError(
@@ -155,6 +146,20 @@ class ReconstructionConfig:
     @classmethod
     def from_file(cls, path: str) -> "ReconstructionConfig":
         return cls.from_dict(_read_config_object(path))
+
+
+def _check_field_type(name: str, value) -> None:
+    """Refuse ``value`` unless it has the type of config field ``name``."""
+    # the annotation as written ("int", "float | None", ...)
+    kind, _, optional = ReconstructionConfig.__annotations__[name].partition(" | ")
+    if value is None and optional:
+        return
+    accepted, label = _FIELD_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValidationError(f"{name} must be {label}, got {value!r}")
+    # Written so that NaN fails it; an int beyond the float range fails too.
+    if kind == "float" and not abs(value) <= _FLOAT_MAX:
+        raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 def _read_config_object(path: str) -> dict:
@@ -259,7 +264,8 @@ def reconstruct_wigner_grid(
 ) -> WignerGrid:
     """Scan the configured (q, p) grid, reconstructing every point.
 
-    The kernel is built (or loaded from ``config.kernel_cache``) once.
+    The kernel is built (or loaded from ``config.kernel_cache``) once; a
+    caller's ``kernel`` must have the config's bin grid, cutoff and eta.
     Per-point numerical failures (overflow, empty histogram, truncation) are
     recorded in ``failures`` and leave NaN in ``values``; they do not abort
     the scan unless every point fails.
@@ -274,6 +280,11 @@ def reconstruct_wigner_grid(
         kernel = load_or_build_kernel(
             config.kernel_cache, config.bin_grid(), n_max, config.eta,
             max_column_deficit=config.max_column_deficit,
+        )
+    elif (kernel.grid, kernel.n_max, kernel.eta) != (config.bin_grid(), n_max, config.eta):
+        raise ValidationError(
+            f"kernel ({kernel.grid}, n_max={kernel.n_max}, eta={kernel.eta!r}) does not "
+            f"match the config ({config.bin_grid()}, n_max={n_max}, eta={config.eta!r})"
         )
     qs = config.q_axis()
     ps = config.p_axis()

@@ -1,3 +1,4 @@
+import os
 import re
 import shlex
 from pathlib import Path
@@ -350,6 +351,21 @@ def test_config_value_types_checked(workdir, tmp_path, capsys, field, value):
     assert len(err) == 1 and err[0].startswith("error: config:")
     assert field in err[0]
     assert not (tmp_path / "never.txt").exists()
+
+
+@pytest.mark.parametrize("value", [["a"], 1.5, {"a": 1}], ids=["list", "float", "object"])
+@pytest.mark.parametrize("field", ["record_path", "output_path", "kernel_cache"])
+def test_config_path_types_checked(workdir, tmp_path, monkeypatch, capsys, field, value):
+    # An int or a bool would name a file descriptor of this process, so none is used.
+    monkeypatch.chdir(tmp_path)
+    paths = {"record_path": str(workdir / "rec.txt"), "output_path": "never.txt"}
+    paths[field] = value
+    rc = main(["reconstruct", "--config", small_config_file(tmp_path / "cfg.json", **paths)])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:")
+    assert field in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 def test_compare_rejects_a_nan_axis(tmp_path, capsys):

@@ -425,6 +425,22 @@ def test_failed_record_write_keeps_previous_record(tmp_path, monkeypatch, save):
     assert os.listdir(tmp_path) == ["rec"]
 
 
+@pytest.mark.parametrize("source", ["run A\n0.5,0.7", "x\reta=0.5"], ids=["LF", "CR"])
+def test_text_record_source_with_a_line_break_refused(tmp_path, source):
+    # written verbatim, the first reloads with a third sample, the second with eta 0.5
+    path = tmp_path / "rec.txt"
+    save_record_text(str(path), sample_record())
+    before = path.read_bytes()
+    record = HomodyneRecord(eta=0.9, thetas=np.array([0.1, 0.2]), xs=np.array([0.3, 0.4]),
+                            seed=1, source=source)
+    with pytest.raises(ValidationError, match="line break"):
+        save_record_text(str(path), record)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["rec.txt"]
+    save_record_binary(str(tmp_path / "rec.bin"), record)
+    assert load_record(str(tmp_path / "rec.bin")).source == source
+
+
 def test_record_malformed_files_rejected(tmp_path):
     missing = tmp_path / "missing_header.txt"
     missing.write_text("seed=1\nsource=x\n0.0,1.0\n")

@@ -23,7 +23,11 @@ from emtomo import (
     wigner_exact_grid,
 )
 
-from .reference_routes import displacement_by_expm, wigner_by_fock_kernels
+from .reference_routes import (
+    displacement_by_expm,
+    s_ordered_by_smoothing,
+    wigner_by_fock_kernels,
+)
 
 ONE_OVER_PI = 1.0 / np.pi
 
@@ -81,10 +85,14 @@ def test_displaced_coherent_at_own_center_is_vacuum():
 
 
 def test_displaced_tail_guard():
-    with pytest.raises(TruncationError):
+    # one guard, naming the worst point, serves all three evaluators
+    worst = r"at \(q=3, p=3\) leaves .* above n_max=6; raise the cutoff"
+    with pytest.raises(TruncationError, match=worst):
         displaced_photon_distribution(vacuum_state(), 3.0, 3.0, 6)
-    with pytest.raises(TruncationError):
+    with pytest.raises(TruncationError, match=worst):
         wigner_exact_grid(vacuum_state(), [0.0, 3.0], [0.0, 3.0], 6)
+    with pytest.raises(TruncationError, match=worst):
+        s_ordered_quasidistribution(vacuum_state(), 3.0, 3.0, 1.0, 6)
 
 
 def test_negative_cutoff_rejected():
@@ -179,6 +187,35 @@ def test_s_ordered_matches_lossy_wigner_identity():
         lhs = s_ordered_quasidistribution(st, q, p, s, 70)
         rhs = eta * wigner_exact(lossy, root * q, root * p, 70)
         assert lhs == pytest.approx(rhs, abs=1e-8)
+
+
+SMOOTHING_S = (1.0 - 0.85) / 0.85
+COHERENT = coherent_state(0.6 + 0.3j, 16)
+ODD_CAT = cat_state(1.2j, np.pi, 22)
+
+
+@pytest.mark.parametrize("state, s, q, p, n_max", [
+    (vacuum_state(), 1.0, 1.0, -0.5, 90),
+    (COHERENT, 1e-4, 0.5, -0.2, 30),
+    (COHERENT, SMOOTHING_S, -0.7, 0.4, 44),
+    (ODD_CAT, 1.0, 0.3, 0.8, 96),
+    (ODD_CAT, SMOOTHING_S, 0.5, -0.8, 56),
+    (ODD_CAT, 1e-4, 1.0, 1.3, 36),
+], ids=["vacuum-husimi", "coherent-1e-4", "coherent-loss", "cat-husimi", "cat-loss",
+        "cat-1e-4"])
+def test_s_ordered_weighted_sum_matches_smoothing(state, s, q, p, n_max):
+    # The smoothing's cutoff must cover its window's far corner; the weighted
+    # sum needs only (q, p) itself.
+    smoothed = s_ordered_by_smoothing(state, q, p, s, n_max)
+    assert abs(s_ordered_quasidistribution(state, q, p, s, n_max) - smoothed) <= 1e-12
+
+
+@pytest.mark.parametrize("s", [0.1, 1.0, 3.0])
+def test_s_ordered_vacuum_closed_form_at_a_modest_cutoff(s):
+    q, p = 1.0, -0.5
+    expected = np.exp(-(q * q + p * p) / (1.0 + s)) / (np.pi * (1.0 + s))
+    value = s_ordered_quasidistribution(vacuum_state(), q, p, s, 40)
+    assert abs(value - expected) <= 1e-15
 
 
 def test_s_ordered_validation():

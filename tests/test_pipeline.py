@@ -183,6 +183,17 @@ def test_grid_eta_mismatch_rejected(vacuum_record):
         reconstruct_wigner_grid(vacuum_record, cfg)
 
 
+@pytest.mark.parametrize("grid, n_max", [
+    (BinGrid(-7.0, 7.0, 70), 8),
+    (BinGrid(-9.0, 9.0, 900), 6),
+], ids=["grid", "n_max"])
+def test_grid_refuses_a_kernel_unlike_the_config(vacuum_record, grid, n_max):
+    # the grid's meta would name the config's bins and cutoff, not the kernel's
+    kernel = build_kernel_matrix(grid, n_max, 0.85, max_column_deficit=None)
+    with pytest.raises(ValidationError, match="does not match the config"):
+        reconstruct_wigner_grid(vacuum_record, small_config(), kernel=kernel)
+
+
 def test_oracle_grid_marks_truncation_failures():
     grid = oracle_wigner_grid(vacuum_state(), [0.0, 3.0], [0.0, 3.0], 6)
     assert np.isfinite(grid.values[0, 0])
