@@ -7,7 +7,6 @@ with exact reference values available for every step.
 """
 
 from .em import (
-    EmDiagnostics,
     Histogram,
     PhotonDistribution,
     default_cutoff,
@@ -53,14 +52,12 @@ from .homodyne import (
 )
 from .oracle import (
     displaced_photon_distribution,
-    displacement_amplitudes,
     oracle_wigner_grid,
     s_ordered_quasidistribution,
     wigner_exact,
     wigner_exact_grid,
 )
 from .pipeline import (
-    PointDiagnostics,
     ReconstructionConfig,
     WignerGrid,
     compare_wigner_grids,

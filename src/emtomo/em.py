@@ -29,7 +29,6 @@ loop on the criterion-5 record.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -42,8 +41,6 @@ from .errors import (
     ValidationError,
 )
 from .fock_kernel import BinGrid, KernelMatrix
-
-logger = logging.getLogger(__name__)
 
 # Cadence (in iterations) of the log-likelihood trace and of the plateau
 # test, which compares log-likelihood gains across windows of this many
@@ -137,23 +134,6 @@ class EmDiagnostics:
     renorm_correction: float = 0.0  # largest |1 - sum| absorbed by renormalization
 
 
-def _check_pair(frequencies: np.ndarray, entries: np.ndarray, rho: np.ndarray):
-    p = np.asarray(frequencies, dtype=float)
-    a = np.asarray(entries, dtype=float)
-    r = np.asarray(rho, dtype=float)
-    if a.ndim != 2:
-        raise ValidationError("kernel entries must be a 2-d array")
-    if p.shape != (a.shape[0],):
-        raise ValidationError(
-            f"frequency vector length {p.shape} does not match {a.shape[0]} kernel rows"
-        )
-    if r.shape != (a.shape[1],):
-        raise ValidationError(
-            f"distribution length {r.shape} does not match {a.shape[1]} kernel columns"
-        )
-    return p, a, r
-
-
 def _check_model(model: np.ndarray) -> None:
     """Raise :class:`ModelZeroError` unless every model value is positive.
 
@@ -165,20 +145,10 @@ def _check_model(model: np.ndarray) -> None:
 
 
 def _log_likelihood(a_act: np.ndarray, p_act: np.ndarray, rho: np.ndarray) -> float:
-    """L = sum_nu p_nu ln (A rho)_nu over the bins with counts.
-
-    The one evaluator: the public function and the EM trace both call it.
-    """
+    """L = sum_nu p_nu ln (A rho)_nu over the bins with counts."""
     model = a_act @ rho
     _check_model(model)
     return float(p_act @ np.log(model))
-
-
-def log_likelihood_frequencies(frequencies, entries, rho) -> float:
-    """L = sum_nu p_nu ln (A rho)_nu with the 0 ln 0 convention."""
-    p, a, r = _check_pair(frequencies, entries, rho)
-    active = p > 0
-    return _log_likelihood(a[active], p[active], r)
 
 
 def _em_iterate(a_act: np.ndarray, p_act: np.ndarray, rho: np.ndarray,
@@ -203,19 +173,6 @@ def _em_iterate(a_act: np.ndarray, p_act: np.ndarray, rho: np.ndarray,
     rho /= s
     rho[rho < _TINY] = 0.0
     return float(s)
-
-
-def em_step_frequencies(frequencies, entries, rho) -> np.ndarray:
-    """One expectation-maximization update of the photon distribution."""
-    p, a, r = _check_pair(frequencies, entries, rho)
-    active = p > 0
-    a_act = a[active]
-    new = r.copy()
-    s = _em_iterate(a_act, p[active], new, np.empty(a_act.shape[0]),
-                    np.empty(new.size))
-    if abs(1.0 - s) > 1e-12:
-        logger.debug("EM renormalization correction %.3g", 1.0 - s)
-    return new
 
 
 def reconstruct_photon_distribution(

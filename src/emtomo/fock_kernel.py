@@ -32,7 +32,7 @@ import logging
 import numbers
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import BinaryIO, Callable
 
 import numpy as np
@@ -207,7 +207,7 @@ class KernelMatrix:
     n_max: int
     eta: float
     entries: np.ndarray  # shape (bin_count, n_max + 1)
-    column_deficits: np.ndarray  # 1 - column sums, shape (n_max + 1,)
+    column_deficits: np.ndarray = field(init=False)  # 1 - column sums, shape (n_max + 1,)
 
     def __post_init__(self):
         expected = (self.grid.bin_count, self.n_max + 1)
@@ -215,6 +215,7 @@ class KernelMatrix:
             raise ValidationError(
                 f"kernel entries shape {self.entries.shape} != {expected}"
             )
+        object.__setattr__(self, "column_deficits", 1.0 - self.entries.sum(axis=0))
 
 
 def _ideal_bin_integrals(grid: BinGrid, n_max: int) -> np.ndarray:
@@ -276,8 +277,7 @@ def build_kernel_matrix(
     eta = _check_eta(eta)
     ideal = _ideal_bin_integrals(grid, n_max)
     entries = ideal @ _binomial_mixture_matrix(n_max, eta).T
-    kernel = KernelMatrix(grid=grid, n_max=n_max, eta=eta, entries=entries,
-                          column_deficits=1.0 - entries.sum(axis=0))
+    kernel = KernelMatrix(grid=grid, n_max=n_max, eta=eta, entries=entries)
     _check_column_deficits(kernel, max_column_deficit)
     return kernel
 
@@ -365,8 +365,7 @@ def load_kernel(path: str) -> KernelMatrix:
         grid = BinGrid(x_min, x_max, bins)
     except ValidationError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
-    return KernelMatrix(grid=grid, n_max=int(n_max), eta=float(eta), entries=entries,
-                        column_deficits=1.0 - entries.sum(axis=0))
+    return KernelMatrix(grid=grid, n_max=int(n_max), eta=float(eta), entries=entries)
 
 
 def load_or_build_kernel(

@@ -389,6 +389,12 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     return hist
 
 
+def _check_source(source: str) -> None:
+    """Refuse outer whitespace, which the text reader strips from header values."""
+    if source != source.strip():
+        raise ValidationError(f"a source cannot start or end with whitespace: {source!r}")
+
+
 def save_record_text(path: str, record: HomodyneRecord) -> None:
     """Plain-text record: eta=, seed=, source= headers, then theta,x lines.
 
@@ -398,6 +404,7 @@ def save_record_text(path: str, record: HomodyneRecord) -> None:
     """
     if "\n" in record.source or "\r" in record.source:
         raise ValidationError(f"a text record's source cannot hold a line break: {record.source!r}")
+    _check_source(record.source)
 
     def write(fh):
         fh.write(f"eta={record.eta:.17g}\nseed={record.seed}\n"
@@ -519,11 +526,13 @@ def save_record_binary(path: str, record: HomodyneRecord) -> None:
     """Binary record: 104-byte header then little-endian (theta, x) pairs.
 
     Streamed to a temporary file that is renamed over ``path``, so a failed
-    write leaves any previous record intact.
+    write leaves any previous record intact.  The header keeps at most 64
+    UTF-8 bytes of ``source``, cut on a character boundary.
     """
     if not -(1 << 63) <= record.seed < 1 << 63:
         raise ValidationError(f"seed {record.seed} does not fit a binary record's int64")
-    source = record.source.encode("utf-8")[:64]
+    _check_source(record.source)
+    source = record.source.encode()[:64].decode("utf-8", "ignore").rstrip().encode()
     header = _RECORD_HEADER.pack(
         _RECORD_MAGIC, _RECORD_VERSION, 0, record.eta, record.seed,
         record.sample_count, source,

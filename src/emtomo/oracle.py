@@ -50,7 +50,7 @@ def _displacement_blocks(betas: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Blocks <m|D(beta)|n>, m < rows, n < cols, for each entry of ``betas``.
 
     Returns shape (len(betas), rows, cols).  The one builder of displacement
-    blocks: the single-point API and the displaced distributions call it.
+    blocks: the displaced distributions call it.
     """
     m = np.arange(rows)[:, None]
     n = np.arange(cols)[None, :]
@@ -66,13 +66,6 @@ def _displacement_blocks(betas: np.ndarray, rows: int, cols: int) -> np.ndarray:
     blocks = mag * base ** k[None, :, :]
     blocks[betas == 0] = np.eye(rows, cols)
     return blocks
-
-
-def displacement_amplitudes(beta: complex, rows: int, cols: int) -> np.ndarray:
-    """The displacement operator block <m|D(beta)|n>, m < rows, n < cols."""
-    if rows < 1 or cols < 1:
-        raise ValidationError("displacement block must have at least one row and column")
-    return _displacement_blocks(np.array([complex(beta)]), rows, cols)[0]
 
 
 def _displaced_diagonals(state: StateSpec, qs: np.ndarray, ps: np.ndarray,

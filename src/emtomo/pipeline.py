@@ -30,7 +30,6 @@ from .errors import (
     FileFormatError,
     ModelZeroError,
     ShiftOverflowError,
-    TruncationError,
     ValidationError,
 )
 from .fock_kernel import (
@@ -142,10 +141,6 @@ class ReconstructionConfig:
         if "eta" not in data:
             raise ValidationError("config must set eta")
         return cls(**data)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ReconstructionConfig":
-        return cls.from_dict(_read_config_object(path))
 
 
 def _check_field_type(name: str, value) -> None:
@@ -266,9 +261,9 @@ def reconstruct_wigner_grid(
 
     The kernel is built (or loaded from ``config.kernel_cache``) once; a
     caller's ``kernel`` must have the config's bin grid, cutoff and eta.
-    Per-point numerical failures (overflow, empty histogram, truncation) are
-    recorded in ``failures`` and leave NaN in ``values``; they do not abort
-    the scan unless every point fails.
+    Per-point numerical failures (overflow, empty histogram, a vanishing
+    model) are recorded in ``failures`` and leave NaN in ``values``; they
+    do not abort the scan unless every point fails.
     """
     if abs(config.eta - record.eta) > 1e-12:
         raise ValidationError(
@@ -303,8 +298,7 @@ def reconstruct_wigner_grid(
                     record, float(qv), float(pv), kernel,
                     max_iter=config.max_iter, plateau_tol=config.plateau_tol,
                 )
-            except (ShiftOverflowError, EmptyHistogramError, ModelZeroError,
-                    TruncationError) as exc:
+            except (ShiftOverflowError, EmptyHistogramError, ModelZeroError) as exc:
                 failures[(i, j)] = str(exc)
                 last_error = exc
                 logger.warning("point (%g, %g) failed: %s", qv, pv, exc)

@@ -31,7 +31,6 @@ from emtomo import (
     wigner_exact,
     wigner_from_distribution,
 )
-from emtomo.em import em_step_frequencies, log_likelihood_frequencies
 from emtomo.fock_kernel import lossy_fock_quadrature_density
 
 from .reference_routes import (
@@ -39,6 +38,7 @@ from .reference_routes import (
     lossy_fock_quadrature_density_convolution,
     wigner_by_fock_kernels,
 )
+from .test_em import em_step, log_likelihood
 
 ONE_OVER_PI = 1.0 / np.pi
 
@@ -63,15 +63,15 @@ def test_criterion_1_em_correctness():
         p = np.maximum(p, 0.0)
         p /= p.sum()
         rho = np.full(dim, 1.0 / dim)
-        ll = log_likelihood_frequencies(p, a, rho)
+        ll = log_likelihood(p, a, rho)
         for _ in range(150):
-            rho = em_step_frequencies(p, a, rho)
-            ll_next = log_likelihood_frequencies(p, a, rho)
+            rho = em_step(p, a, rho)
+            ll_next = log_likelihood(p, a, rho)
             worst_drop = min(worst_drop, ll_next - ll)
             ll = ll_next
         exact = a @ truth
         exact /= exact.sum()
-        stepped = em_step_frequencies(exact, a, truth)
+        stepped = em_step(exact, a, truth)
         worst_fixed = max(worst_fixed, float(np.max(np.abs(stepped - truth))))
     # noise-free inversion through an actual homodyne kernel
     worst_inv = 0.0
@@ -83,7 +83,7 @@ def test_criterion_1_em_correctness():
         p /= p.sum()
         rho = np.full(7, 1.0 / 7)
         for _ in range(10_000):
-            rho = em_step_frequencies(p, kernel.entries, rho)
+            rho = em_step(p, kernel.entries, rho)
         worst_inv = max(worst_inv, float(np.max(np.abs(rho - truth))))
     elapsed = time.perf_counter() - t0
     ok = worst_drop > -1e-10 and worst_fixed < 1e-12 and worst_inv < 1e-4 \

@@ -182,7 +182,7 @@ def test_kernel_cache_round_trip(tmp_path):
     assert loaded.n_max == kernel.n_max
     assert loaded.eta == kernel.eta
     assert np.array_equal(loaded.entries, kernel.entries)
-    assert np.allclose(loaded.column_deficits, kernel.column_deficits, atol=1e-15)
+    assert np.array_equal(loaded.column_deficits, kernel.column_deficits)
 
 
 def test_kernel_cache_hit_and_key_mismatch(tmp_path):

@@ -441,6 +441,33 @@ def test_text_record_source_with_a_line_break_refused(tmp_path, source):
     assert load_record(str(tmp_path / "rec.bin")).source == source
 
 
+@pytest.mark.parametrize("source", ["x" * 63 + "\u00e9 tail", "x" * 63 + " tail"],
+                         ids=["mid-character", "blank"])
+def test_binary_record_cuts_a_long_source_on_a_character_boundary(tmp_path, source):
+    # the 64-byte cut falls inside the two-byte e-acute, or just after a blank
+    path = str(tmp_path / "rec.bin")
+    record = HomodyneRecord(eta=0.9, thetas=np.array([0.1]), xs=np.array([0.3]), seed=1,
+                            source=source)
+    save_record_binary(path, record)
+    assert load_record(path).source == "x" * 63
+
+
+@pytest.mark.parametrize("save", [save_record_text, save_record_binary], ids=["text", "binary"])
+@pytest.mark.parametrize("source", ["  padded  ", "padded\t", " padded"],
+                         ids=["both-ends", "tab", "leading"])
+def test_record_source_with_outer_whitespace_refused(tmp_path, save, source):
+    # the text reader strips header values, so the formats would disagree
+    path = tmp_path / "rec"
+    save(str(path), sample_record())
+    before = path.read_bytes()
+    record = HomodyneRecord(eta=0.9, thetas=np.array([0.1, 0.2]), xs=np.array([0.3, 0.4]),
+                            seed=1, source=source)
+    with pytest.raises(ValidationError, match="whitespace"):
+        save(str(path), record)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["rec"]
+
+
 def test_record_malformed_files_rejected(tmp_path):
     missing = tmp_path / "missing_header.txt"
     missing.write_text("seed=1\nsource=x\n0.0,1.0\n")

@@ -28,6 +28,7 @@ from emtomo import (
     wigner_from_distribution,
     write_gnuplot_files,
 )
+from emtomo.pipeline import _read_config_object
 
 ONE_OVER_PI = 1.0 / np.pi
 
@@ -79,14 +80,14 @@ def test_config_json_round_trip(tmp_path):
     import json
 
     path.write_text(json.dumps(cfg.to_dict()))
-    back = ReconstructionConfig.from_file(str(path))
+    back = ReconstructionConfig.from_dict(_read_config_object(str(path)))
     assert back == cfg
     path.write_text("{not json")
     with pytest.raises(ValidationError):
-        ReconstructionConfig.from_file(str(path))
+        ReconstructionConfig.from_dict(_read_config_object(str(path)))
     path.write_text(json.dumps({"eta": 0.9, "n_max": 5, "bogus_key": 1}))
     with pytest.raises(ValidationError):
-        ReconstructionConfig.from_file(str(path))
+        ReconstructionConfig.from_dict(_read_config_object(str(path)))
 
 
 def test_point_reconstruction_hits_vacuum_wigner(vacuum_record, vacuum_kernel):
@@ -370,3 +371,23 @@ def test_pipeline_imports_nothing_from_oracle():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert imported and not [m for m in imported if "oracle" in m.split(".")]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py imports names to re-export them; every other module uses its imports
+    package = os.path.dirname(emtomo.pipeline.__file__)
+    modules = [n for n in sorted(os.listdir(package)) if n.endswith(".py") and n != "__init__.py"]
+    unused = []
+    for name in modules:
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}: {imported}" for imported in sorted(bound - used)]
+    assert "pipeline.py" in modules
+    assert unused == []
