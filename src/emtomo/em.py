@@ -25,6 +25,13 @@ have grown back to a normal float.  That is not guaranteed in general (the
 update scales an entry by its gradient over the iterate's sum, which can
 exceed 1); ``tests/test_bit_identity.py`` checks it against the unflushed
 loop on the criterion-5 record.
+
+On a symmetric grid (x_min == -x_max) the kernel rows of mirror bins nu and
+B-1-nu are bit-identical, and the phase-averaged model is even in x, so both
+bins share one model value.  EM therefore adds the counts of each mirror pair
+into the upper-half row (an odd grid's middle bin straddles 0 and is its own
+mirror) and runs on half the bins: only the order of floating-point sums
+changes, not the likelihood or the update.  EM refuses any other grid.
 """
 
 from __future__ import annotations
@@ -83,13 +90,6 @@ class Histogram:
     @property
     def total(self) -> int:
         return int(self.counts.sum())
-
-    def frequencies(self) -> np.ndarray:
-        """Relative frequencies p_nu (they sum to 1 over the grid)."""
-        total = self.total
-        if total == 0:
-            raise EmptyHistogramError("histogram holds no counts")
-        return self.counts / total
 
 
 @dataclass
@@ -187,7 +187,7 @@ def reconstruct_photon_distribution(
     Parameters
     ----------
     hist, kernel
-        Binned data and the matching response matrix (grids must agree).
+        Binned data and the matching response matrix (one symmetric grid).
     max_iter : int
         Iteration budget.
     plateau_tol : float or None
@@ -212,11 +212,19 @@ def reconstruct_photon_distribution(
     """
     if hist.grid != kernel.grid:
         raise ValidationError("histogram and kernel use different bin grids")
+    if kernel.grid.x_min != -kernel.grid.x_max:
+        raise ValidationError(f"EM needs a symmetric bin grid (x_min = -x_max), got {kernel.grid}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    p = hist.frequencies()
+    if hist.total == 0:
+        raise EmptyHistogramError("histogram holds no counts")
+    # Fold mirror bins into the upper half, from bin B // 2 up (module docstring).
+    bins, half = kernel.grid.bin_count, kernel.grid.bin_count // 2
+    counts = hist.counts[half:].copy()
+    counts[bins - 2 * half:] += hist.counts[:half][::-1]
+    p = counts / hist.total
     active = p > 0
-    a_act = np.ascontiguousarray(kernel.entries[active])
+    a_act = np.ascontiguousarray(kernel.entries[half:][active])
     p_act = p[active]
     dim = kernel.n_max + 1
     rho = np.full(dim, 1.0 / dim)

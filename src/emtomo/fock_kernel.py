@@ -173,11 +173,6 @@ class BinGrid:
         offsets = (np.arange(self.bin_count + 1) - 0.5 * self.bin_count) * self.width
         return center + offsets
 
-    @property
-    def centers(self) -> np.ndarray:
-        edges = self.edges
-        return 0.5 * (edges[:-1] + edges[1:])
-
     def counts_in_place(self, buf: np.ndarray) -> tuple[np.ndarray, int]:
         """Per-bin counts and overflow of the float64 samples in ``buf``.
 

@@ -84,9 +84,6 @@ class StateSpec:
             raise ValidationError("density matrix has a negative eigenvalue")
         self.rho = rho
 
-    def photon_probabilities(self) -> np.ndarray:
-        return np.real(np.diag(self.rho)).copy()
-
 
 def _pure_state(amplitudes: np.ndarray, dim: int) -> StateSpec:
     """Truncate an amplitude vector to dim, guarding the discarded tail."""
@@ -390,9 +387,13 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
 
 
 def _check_source(source: str) -> None:
-    """Refuse outer whitespace, which the text reader strips from header values."""
+    """Refuse what a reader would not give back: outer whitespace, which the
+    text reader strips from header values, and NUL, which pads the binary
+    header's source field."""
     if source != source.strip():
         raise ValidationError(f"a source cannot start or end with whitespace: {source!r}")
+    if "\x00" in source:
+        raise ValidationError(f"a source cannot hold a NUL character: {source!r}")
 
 
 def save_record_text(path: str, record: HomodyneRecord) -> None:

@@ -96,6 +96,8 @@ class ReconstructionConfig:
         for f in fields(self):
             _check_field_type(f.name, getattr(self, f.name))
         _check_eta(self.eta)
+        if self.x_min != -self.x_max:
+            raise ValidationError(f"bin grid must be symmetric, got [{self.x_min}, {self.x_max}]")
         if (self.n_max is None) == (self.localization_radius is None):
             raise ValidationError(
                 "set exactly one of n_max and localization_radius"

@@ -15,7 +15,9 @@ own recurrences.
 
 Three routes restate production arithmetic the slow, obvious way, so that a
 faster production path can be required to match them bit for bit: an EM
-loop that never flushes subnormal entries and allocates every temporary,
+loop that never flushes subnormal entries, allocates every temporary and
+runs on the bins it is given (the unfolded ones, or those of
+:func:`fold_mirror_bins`),
 a shifted histogram that evaluates cos and sin at every sample, and a
 text-record reader that parses every line with ``float``.
 """
@@ -180,14 +182,18 @@ def lossy_fock_mass_outside(n_max: int, eta: float, half_width: float) -> np.nda
     return out
 
 
-def em_unflushed(counts: np.ndarray, entries: np.ndarray, iterations: int):
-    """Plain EM from the flat start: (rho, final log-likelihood).
+def em_unflushed(counts: np.ndarray, entries: np.ndarray, max_iter: int,
+                 plateau_tol: float | None = None):
+    """Plain EM from the flat start: (rho, final log-likelihood, iterations run).
 
     The iterate rho <- rho * A^T (p / A rho), renormalized by its sum, runs
     on the bins with counts exactly as the textbook loop writes it: every
     product is a fresh array, no buffer is reused, and entries that decay
     into subnormal floats are left in place rather than flushed to zero.
-    It calls nothing in ``emtomo.em``.
+    Bins are used as given; nothing is folded.  With ``plateau_tol`` the
+    loop stops at the first multiple of 100 iterations whose log-likelihood
+    gain over the last 100 falls below it.  It calls nothing in
+    ``emtomo.em``.
     """
     p = counts / counts.sum()
     active = p > 0
@@ -195,10 +201,29 @@ def em_unflushed(counts: np.ndarray, entries: np.ndarray, iterations: int):
     p_act = p[active]
     dim = entries.shape[1]
     rho = np.full(dim, 1.0 / dim)
-    for _ in range(iterations):
+    last = float(p_act @ np.log(a_act @ rho))
+    for it in range(1, max_iter + 1):
         rho = rho * (a_act.T @ (p_act / (a_act @ rho)))
         rho /= rho.sum()
-    return rho, float(p_act @ np.log(a_act @ rho))
+        if plateau_tol is not None and it % 100 == 0:
+            cur = float(p_act @ np.log(a_act @ rho))
+            if cur - last < plateau_tol:
+                break
+            last = cur
+    return rho, float(p_act @ np.log(a_act @ rho)), it
+
+
+def fold_mirror_bins(counts: np.ndarray, entries: np.ndarray):
+    """Counts of |x| and the matching kernel rows on a symmetric grid.
+
+    Bin nu and its mirror B-1-nu are summed into the upper-half bin, from
+    B // 2 up; an odd grid's middle bin is its own mirror and is kept once.
+    """
+    bins = counts.size
+    folded = (counts + counts[::-1])[bins // 2:]
+    if bins % 2:
+        folded[0] = counts[bins // 2]
+    return folded, entries[bins // 2:]
 
 
 def shifted_histogram_per_sample(thetas, xs, eta, q, p, x_min, x_max, bin_count):

@@ -2,8 +2,10 @@
 
 Flushing subnormal EM entries and evaluating the shift once per run of equal
 phases must not move a Wigner value, a log-likelihood or a histogram count
-by a single bit.  The references in ``reference_routes`` restate the plain
-arithmetic without either shortcut.
+by a single bit.  Folding mirror bins before EM only reorders sums, so it
+must keep W and rho within 1e-13 of the unfolded iteration and stop a
+plateau run on the same iteration.  The references in ``reference_routes``
+restate the plain arithmetic without any of these shortcuts.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from emtomo import (
     HomodyneRecord,
     build_kernel_matrix,
     cat_state,
+    coherent_state,
     default_cutoff,
     reconstruct_photon_distribution,
     reconstruct_wigner_point,
@@ -22,7 +25,7 @@ from emtomo import (
 )
 from emtomo import homodyne
 
-from .reference_routes import em_unflushed, shifted_histogram_per_sample
+from .reference_routes import em_unflushed, fold_mirror_bins, shifted_histogram_per_sample
 
 TINY = np.finfo(float).tiny
 
@@ -33,16 +36,20 @@ def cat_record():
     return sample_homodyne(cat_state(1.5j, np.pi, 26), 16, 10_000, 0.9, 777)
 
 
+CAT_RADIUS = np.sqrt(32.0) + np.sqrt(2.0) * 1.5 + 1.0
+CRITERION_5_POINTS = [(0.0, 0.0), (0.0, 1.2), (1.2, -1.2)]
+
+
 @pytest.fixture(scope="module")
 def cat_kernel():
-    radius = np.sqrt(32.0) + np.sqrt(2.0) * 1.5 + 1.0
-    return build_kernel_matrix(BinGrid(-13.0, 13.0, 2_600), default_cutoff(radius), 0.9)
+    return build_kernel_matrix(BinGrid(-13.0, 13.0, 2_600), default_cutoff(CAT_RADIUS), 0.9)
 
 
-@pytest.mark.parametrize("q, p", [(0.0, 0.0), (0.0, 1.2), (1.2, -1.2)])
+@pytest.mark.parametrize("q, p", CRITERION_5_POINTS)
 def test_flushed_em_matches_unflushed_loop_bitwise(cat_record, cat_kernel, q, p):
     hist = shift_and_histogram(cat_record, q, p, cat_kernel.grid)
-    rho, loglik = em_unflushed(hist.counts, cat_kernel.entries, 2_000)
+    # both loops run on the folded bins, so the flush is all that differs
+    rho, loglik, _ = em_unflushed(*fold_mirror_bins(hist.counts, cat_kernel.entries), 2_000)
     # the unflushed loop does reach subnormal entries at these points
     assert np.any((rho > 0.0) & (rho < TINY))
     dist, _diag = reconstruct_photon_distribution(hist, cat_kernel, max_iter=2_000)
@@ -54,6 +61,38 @@ def test_flushed_em_matches_unflushed_loop_bitwise(cat_record, cat_kernel, q, p)
     parity = (-1.0) ** np.arange(rho.size)
     assert w == float(parity @ rho) / np.pi
     assert point.final_loglik == loglik
+
+
+# criterion 5's grid and efficiency, an odd grid (its middle bin straddles 0
+# and is its own mirror) and a lossless record and kernel
+@pytest.mark.parametrize("bins, eta", [(2_600, 0.9), (2_599, 0.9), (2_600, 1.0)],
+                         ids=["criterion-5", "odd-bins", "eta-1"])
+def test_folded_em_matches_unfolded_iteration(cat_record, bins, eta):
+    record = cat_record if eta == 0.9 else sample_homodyne(
+        cat_state(1.5j, np.pi, 26), 16, 10_000, eta, 777)
+    kernel = build_kernel_matrix(BinGrid(-13.0, 13.0, bins), default_cutoff(CAT_RADIUS), eta)
+    parity = (-1.0) ** np.arange(kernel.n_max + 1)
+    for q, p in CRITERION_5_POINTS:
+        hist = shift_and_histogram(record, q, p, kernel.grid)
+        rho, _, _ = em_unflushed(hist.counts, kernel.entries, 2_000)
+        dist, _diag = reconstruct_photon_distribution(hist, kernel, max_iter=2_000)
+        assert np.max(np.abs(dist.probs - rho)) <= 1e-13
+        w, _point = reconstruct_wigner_point(record, q, p, kernel, max_iter=2_000)
+        assert abs(w - float(parity @ rho) / np.pi) <= 1e-13
+
+
+def test_folded_em_stops_a_plateau_run_on_the_unfolded_iteration():
+    # calib-plateau's settings: a coherent state, 16000 bins, n_max 10
+    record = sample_homodyne(coherent_state(1.0, 18), 64, 10_000, 0.85, 20240814)
+    kernel = build_kernel_matrix(BinGrid(-8.0, 8.0, 16_000), 10, 0.85)
+    for q in (0.0, np.sqrt(2.0), 2.0 * np.sqrt(2.0)):
+        hist = shift_and_histogram(record, q, 0.0, kernel.grid)
+        rho, _, its = em_unflushed(hist.counts, kernel.entries, 10_000, plateau_tol=1e-8)
+        dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=10_000,
+                                                     plateau_tol=1e-8)
+        assert diag.stop_reason == "plateau"
+        assert diag.iterations_run == its
+        assert np.max(np.abs(dist.probs - rho)) <= 1e-13
 
 
 def _assert_same_histogram(record, q, p, grid):

@@ -353,6 +353,20 @@ def test_config_value_types_checked(workdir, tmp_path, capsys, field, value):
     assert not (tmp_path / "never.txt").exists()
 
 
+def test_config_asymmetric_grid_exits_3(workdir, tmp_path, capsys):
+    rc = main([
+        "reconstruct", "--config", small_config_file(tmp_path / "cfg.json", x_max=8),
+        "--record", str(workdir / "rec.txt"), "--out", str(tmp_path / "never.txt"),
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: config:")
+    assert "symmetric" in lines[0]
+    assert not (tmp_path / "never.txt").exists()
+
+
 @pytest.mark.parametrize("value", [["a"], 1.5, {"a": 1}], ids=["list", "float", "object"])
 @pytest.mark.parametrize("field", ["record_path", "output_path", "kernel_cache"])
 def test_config_path_types_checked(workdir, tmp_path, monkeypatch, capsys, field, value):

@@ -64,7 +64,6 @@ def test_histogram_from_samples_counts_and_overflow():
     assert list(hist.counts) == [1, 1, 1, 2]
     assert hist.overflow == 2
     assert hist.total == 5
-    assert hist.frequencies().sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_histogram_from_samples_counts_nan_as_overflow():
@@ -84,8 +83,9 @@ def test_histogram_validation():
     with pytest.raises(ValidationError):
         Histogram(grid, np.array([1, -2, 0]))
     empty = Histogram(grid, np.zeros(3, dtype=int))
+    kernel = build_kernel_matrix(grid, 0, 1.0, max_column_deficit=None)
     with pytest.raises(EmptyHistogramError):
-        empty.frequencies()
+        reconstruct_photon_distribution(empty, kernel, max_iter=1)
 
 
 def test_photon_distribution_validation():
@@ -240,9 +240,12 @@ def test_reconstruct_trace_cadence_and_table():
     dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=120)
     assert list(diag.trace_iterations) == [0, 100, 120]
     assert diag.final_loglik == diag.loglik_trace[-1]
-    # the trace runs the one log-likelihood evaluator
-    assert diag.final_loglik == log_likelihood(
-        hist.frequencies(), kernel.entries, dist.probs
+    # the trace runs the one log-likelihood evaluator, on the 60 folded bins
+    folded = (hist.counts[60:] + hist.counts[59::-1]) / hist.total
+    assert diag.final_loglik == log_likelihood(folded, kernel.entries[60:], dist.probs)
+    # which the fold leaves unchanged up to rounding
+    assert diag.final_loglik == pytest.approx(
+        log_likelihood(hist.counts / hist.total, kernel.entries, dist.probs), rel=0, abs=1e-14
     )
 
 
@@ -262,4 +265,13 @@ def test_grid_mismatch_rejected():
     kernel = build_kernel_matrix(BinGrid(-5.0, 5.0, 100), 3, 1.0)
     hist = Histogram(BinGrid(-4.0, 4.0, 100), np.ones(100, dtype=int))
     with pytest.raises(ValidationError):
+        reconstruct_photon_distribution(hist, kernel, max_iter=10)
+
+
+def test_asymmetric_grid_rejected():
+    # EM folds mirror bins together, which needs x_min = -x_max
+    grid = BinGrid(-6.0, 7.0, 130)
+    kernel = build_kernel_matrix(grid, 3, 1.0)
+    hist = Histogram(grid, np.ones(130, dtype=int))
+    with pytest.raises(ValidationError, match="symmetric"):
         reconstruct_photon_distribution(hist, kernel, max_iter=10)
