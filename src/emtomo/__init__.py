@@ -63,7 +63,6 @@ from .pipeline import (
     compare_wigner_grids,
     load_wigner_grid,
     reconstruct_wigner_grid,
-    reconstruct_wigner_point,
     save_wigner_grid,
     wigner_from_distribution,
     write_gnuplot_files,

@@ -113,10 +113,6 @@ class PhotonDistribution:
             )
         self.probs = probs
 
-    @property
-    def n_max(self) -> int:
-        return self.probs.size - 1
-
     def mean(self) -> float:
         return float(np.arange(self.probs.size) @ self.probs)
 
@@ -129,8 +125,7 @@ class EmDiagnostics:
     trace_iterations: np.ndarray
     loglik_trace: np.ndarray
     final_loglik: float
-    converged: bool
-    stop_reason: str
+    stop_reason: str  # "plateau" or "max-iterations"
     renorm_correction: float = 0.0  # largest |1 - sum| absorbed by renormalization
 
 
@@ -231,7 +226,6 @@ def reconstruct_photon_distribution(
     trace_its = [0]
     trace_ll = [_log_likelihood(a_act, p_act, rho)]
     worst_renorm = 0.0
-    converged = False
     stop_reason = "max-iterations"
     it = 0
     model = np.empty(p_act.size)
@@ -246,7 +240,6 @@ def reconstruct_photon_distribution(
         trace_its.append(it)
         trace_ll.append(_log_likelihood(a_act, p_act, rho))
         if at_window and plateau_tol is not None and trace_ll[-1] - trace_ll[-2] < plateau_tol:
-            converged = True
             stop_reason = "plateau"
             break
     diag = EmDiagnostics(
@@ -254,7 +247,6 @@ def reconstruct_photon_distribution(
         trace_iterations=np.asarray(trace_its, dtype=np.int64),
         loglik_trace=np.asarray(trace_ll, dtype=float),
         final_loglik=trace_ll[-1],
-        converged=converged,
         stop_reason=stop_reason,
         renorm_correction=worst_renorm,
     )

@@ -354,13 +354,12 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     histogram carry the displaced photon-number distribution.
 
     The record is shifted and binned in slices of ``_SLICE`` samples, so
-    every temporary is slice-sized and none grows with the record.  Where a
-    slice's phases come in runs (as :func:`sample_homodyne` writes them, at
-    least two samples per run on average) the shift is evaluated once per
-    run and repeated over the run's samples; otherwise cos and sin are
-    evaluated at every sample.  Both routes do the same arithmetic
-    for every sample, so the counts depend neither on the route nor on
-    where the slices end.
+    every temporary is slice-sized and none grows with the record.  The
+    shift is evaluated once per run of equal phases (as
+    :func:`sample_homodyne` writes them) and repeated over the run's
+    samples; a run of one sample is a swept phase.  Every sample gets the
+    arithmetic of a per-sample evaluation, so the counts do not depend on
+    where the runs or slices end.
     """
     thetas, xs = record.thetas, record.xs
     scale = np.sqrt(record.eta)
@@ -369,11 +368,8 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     for start in range(0, xs.size, _SLICE):
         th = thetas[start : start + _SLICE]
         starts = np.concatenate(([0], np.flatnonzero(th[1:] != th[:-1]) + 1))
-        if 2 * starts.size <= th.size:
-            run_shift = scale * (q * np.cos(th[starts]) + p * np.sin(th[starts]))
-            shifted = np.repeat(run_shift, np.diff(starts, append=th.size))
-        else:
-            shifted = scale * (q * np.cos(th) + p * np.sin(th))
+        run_shift = scale * (q * np.cos(th[starts]) + p * np.sin(th[starts]))
+        shifted = np.repeat(run_shift, np.diff(starts, append=th.size))
         np.subtract(xs[start : start + _SLICE], shifted, out=shifted)
         slice_counts, slice_overflow = grid.counts_in_place(shifted)
         counts += slice_counts

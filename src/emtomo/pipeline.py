@@ -2,10 +2,10 @@
 
 One phase-space point (q, p) costs one histogram of shifted samples plus one
 EM run; the Wigner value is assembled from the recovered displaced
-photon-number distribution as W = (1/pi) sum_n (-1)^n rho_n.  A grid scan
-repeats that point recipe (the expensive kernel is built once and shared),
-failing soft on individual points so a single pathological corner cannot
-destroy an overnight scan.
+photon-number distribution as W = (1/pi) sum_n (-1)^n rho_n.  The grid scan
+is the one place that recipe is written (the expensive kernel is built once
+and shared; a single point is a 1x1 grid), failing soft on individual points
+so a single pathological corner cannot destroy an overnight scan.
 
 This module imports nothing from :mod:`emtomo.oracle`: the oracle is the
 arbiter the pipeline is checked against, so the two sides share no
@@ -173,60 +173,6 @@ def _read_config_object(path: str) -> dict:
 
 
 @dataclass
-class PointDiagnostics:
-    """Per-point bookkeeping from a Wigner reconstruction."""
-
-    iterations: int
-    final_loglik: float
-    overflow_fraction: float
-    rho_tail: float
-    converged: bool
-    stop_reason: str
-
-
-def reconstruct_wigner_point(
-    record: HomodyneRecord,
-    q: float,
-    p: float,
-    kernel: KernelMatrix,
-    *,
-    max_iter: int = 10_000,
-    plateau_tol: float | None = None,
-) -> tuple[float, PointDiagnostics]:
-    """Reconstruct W(q, p) from a record via shift + histogram + EM.
-
-    Returns the Wigner value and diagnostics (EM iterations, final
-    log-likelihood, overflow fraction, occupancy of the top two photon
-    levels as a truncation health measure).
-    """
-    if abs(kernel.eta - record.eta) > 1e-12:
-        raise ValidationError(
-            f"kernel efficiency {kernel.eta!r} does not match record efficiency "
-            f"{record.eta!r}"
-        )
-    hist = shift_and_histogram(record, q, p, kernel.grid)
-    overflow_fraction = hist.overflow / record.sample_count
-    if overflow_fraction > MAX_OVERFLOW_FRACTION:
-        raise ShiftOverflowError(
-            f"{overflow_fraction:.3%} of shifted samples left the bin grid at "
-            f"(q={q:g}, p={p:g}) (limit {MAX_OVERFLOW_FRACTION:.1%}); widen the grid"
-        )
-    dist, diag = reconstruct_photon_distribution(
-        hist, kernel, max_iter=max_iter, plateau_tol=plateau_tol,
-    )
-    w = wigner_from_distribution(dist.probs)
-    point = PointDiagnostics(
-        iterations=diag.iterations_run,
-        final_loglik=diag.final_loglik,
-        overflow_fraction=float(overflow_fraction),
-        rho_tail=float(dist.probs[-2:].sum()),
-        converged=diag.converged,
-        stop_reason=diag.stop_reason,
-    )
-    return w, point
-
-
-@dataclass
 class WignerGrid:
     """Wigner values and per-point diagnostics on a rectangular grid."""
 
@@ -236,7 +182,7 @@ class WignerGrid:
     iterations: np.ndarray
     final_loglik: np.ndarray
     overflow_fraction: np.ndarray
-    rho_tail: np.ndarray
+    rho_tail: np.ndarray  # mass of the top two photon levels: a truncation health measure
     failures: dict = field(default_factory=dict)  # (i, j) -> message
     meta: dict = field(default_factory=dict)
 
@@ -261,11 +207,14 @@ def reconstruct_wigner_grid(
 ) -> WignerGrid:
     """Scan the configured (q, p) grid, reconstructing every point.
 
-    The kernel is built (or loaded from ``config.kernel_cache``) once; a
-    caller's ``kernel`` must have the config's bin grid, cutoff and eta.
-    Per-point numerical failures (overflow, empty histogram, a vanishing
-    model) are recorded in ``failures`` and leave NaN in ``values``; they
-    do not abort the scan unless every point fails.
+    Each point shifts and bins the record, refuses more than
+    ``MAX_OVERFLOW_FRACTION`` of it off the bin grid, runs EM and takes the
+    parity sum.  The kernel is built (or loaded from ``config.kernel_cache``)
+    once; a caller's ``kernel`` must have the config's bin grid, cutoff and
+    eta.  Per-point numerical failures (overflow, empty histogram, a
+    vanishing model) are recorded in ``failures`` and leave NaN in every
+    float column and 0 in ``iterations``; they do not abort the scan unless
+    every point fails.
     """
     if abs(config.eta - record.eta) > 1e-12:
         raise ValidationError(
@@ -293,23 +242,29 @@ def reconstruct_wigner_grid(
     rho_tail = np.full(shape, np.nan)
     failures: dict = {}
     last_error: Exception | None = None
-    for i, qv in enumerate(qs):
-        for j, pv in enumerate(ps):
+    for i, q in enumerate(qs.tolist()):
+        for j, p in enumerate(ps.tolist()):
             try:
-                w, point = reconstruct_wigner_point(
-                    record, float(qv), float(pv), kernel,
-                    max_iter=config.max_iter, plateau_tol=config.plateau_tol,
+                hist = shift_and_histogram(record, q, p, kernel.grid)
+                overflow_fraction = hist.overflow / record.sample_count
+                if overflow_fraction > MAX_OVERFLOW_FRACTION:
+                    raise ShiftOverflowError(
+                        f"{overflow_fraction:.3%} of shifted samples left the bin grid at "
+                        f"(q={q:g}, p={p:g}) (limit {MAX_OVERFLOW_FRACTION:.1%}); widen the grid"
+                    )
+                dist, diag = reconstruct_photon_distribution(
+                    hist, kernel, max_iter=config.max_iter, plateau_tol=config.plateau_tol,
                 )
             except (ShiftOverflowError, EmptyHistogramError, ModelZeroError) as exc:
                 failures[(i, j)] = str(exc)
                 last_error = exc
-                logger.warning("point (%g, %g) failed: %s", qv, pv, exc)
+                logger.warning("point (%g, %g) failed: %s", q, p, exc)
                 continue
-            values[i, j] = w
-            iterations[i, j] = point.iterations
-            final_loglik[i, j] = point.final_loglik
-            overflow[i, j] = point.overflow_fraction
-            rho_tail[i, j] = point.rho_tail
+            values[i, j] = wigner_from_distribution(dist.probs)
+            iterations[i, j] = diag.iterations_run
+            final_loglik[i, j] = diag.final_loglik
+            overflow[i, j] = overflow_fraction
+            rho_tail[i, j] = dist.probs[-2:].sum()
         logger.info("grid row %d/%d done", i + 1, qs.size)
     if len(failures) == qs.size * ps.size:
         raise type(last_error)(
@@ -415,6 +370,14 @@ def load_wigner_grid(path: str) -> WignerGrid:
     data = np.asarray(rows)
     qs = data[:: p_steps, 0]
     ps = data[:p_steps, 1]
+    # Row k sits at grid point (k // p_steps, k % p_steps); compare refuses non-finite axes.
+    at = np.column_stack((np.repeat(qs, p_steps), np.tile(ps, q_steps)))
+    stray = np.flatnonzero(((data[:, :2] != at) & np.isfinite(data[:, :2]) & np.isfinite(at)).any(1))
+    if stray.size:
+        k = stray[0]
+        raise FileFormatError(f"{path}: data row {k + 1} states (q={data[k, 0]:.17g}, "
+                              f"p={data[k, 1]:.17g}), not its grid position "
+                              f"(q={at[k, 0]:.17g}, p={at[k, 1]:.17g})")
     def grab(col):
         return data[:, col].reshape(q_steps, p_steps)
     return WignerGrid(

@@ -19,12 +19,12 @@ from emtomo import (
     coherent_state,
     default_cutoff,
     reconstruct_photon_distribution,
-    reconstruct_wigner_point,
     sample_homodyne,
     shift_and_histogram,
 )
 from emtomo import homodyne
 
+from .grid_point import reconstruct_point
 from .reference_routes import em_unflushed, fold_mirror_bins, shifted_histogram_per_sample
 
 TINY = np.finfo(float).tiny
@@ -57,10 +57,10 @@ def test_flushed_em_matches_unflushed_loop_bitwise(cat_record, cat_kernel, q, p)
     normal = rho >= TINY
     assert np.array_equal(dist.probs[normal], rho[normal])
     assert np.all(dist.probs[~normal] == 0.0)
-    w, point = reconstruct_wigner_point(cat_record, q, p, cat_kernel, max_iter=2_000)
+    point = reconstruct_point(cat_record, q, p, cat_kernel, max_iter=2_000)
     parity = (-1.0) ** np.arange(rho.size)
-    assert w == float(parity @ rho) / np.pi
-    assert point.final_loglik == loglik
+    assert point.values[0, 0] == float(parity @ rho) / np.pi
+    assert point.final_loglik[0, 0] == loglik
 
 
 # criterion 5's grid and efficiency, an odd grid (its middle bin straddles 0
@@ -77,8 +77,8 @@ def test_folded_em_matches_unfolded_iteration(cat_record, bins, eta):
         rho, _, _ = em_unflushed(hist.counts, kernel.entries, 2_000)
         dist, _diag = reconstruct_photon_distribution(hist, kernel, max_iter=2_000)
         assert np.max(np.abs(dist.probs - rho)) <= 1e-13
-        w, _point = reconstruct_wigner_point(record, q, p, kernel, max_iter=2_000)
-        assert abs(w - float(parity @ rho) / np.pi) <= 1e-13
+        point = reconstruct_point(record, q, p, kernel, max_iter=2_000)
+        assert abs(point.values[0, 0] - float(parity @ rho) / np.pi) <= 1e-13
 
 
 def test_folded_em_stops_a_plateau_run_on_the_unfolded_iteration():

@@ -405,6 +405,37 @@ def test_compare_rejects_a_nan_axis(tmp_path, capsys):
         assert "max_abs" not in captured.out
 
 
+def _swap_rows(rows):
+    # points (0, 1) and (2, 1): q = -1 and q = 1 at p = 0
+    rows[1], rows[7] = rows[7], rows[1]
+
+
+def _move_row(rows):
+    rows[4] = " ".join(["9.5", "-7"] + rows[4].split()[2:])
+
+
+@pytest.mark.parametrize("edit", [_swap_rows, _move_row], ids=["swapped-rows", "off-axis-row"])
+def test_grid_row_off_its_grid_position_is_a_format_error(tmp_path, capsys, edit):
+    exact = tmp_path / "exact.txt"
+    assert main([
+        "oracle", "--state", "coherent", "--alpha", "0.7", "--n-max", "20",
+        "--q-min", "-1", "--q-max", "1", "--q-steps", "3",
+        "--p-min", "-1", "--p-max", "1", "--p-steps", "3", "--out", str(exact),
+    ]) == 0
+    lines = exact.read_text().splitlines()
+    rows = [line for line in lines if not line.startswith("#")]
+    edit(rows)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join([line for line in lines if line.startswith("#")] + rows) + "\n")
+    capsys.readouterr()
+    for argv in (["compare", str(bad), str(exact)],
+                 ["plot", str(bad), "--out-prefix", str(tmp_path / "fig")]):
+        assert main(argv) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: format:")
+        assert "not its grid position" in err[0]
+
+
 def _drop_rows(text):
     return "\n".join(l for l in text.splitlines() if l.startswith("#")) + "\n"
 

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,9 +193,9 @@ def test_kernel_cache_hit_and_key_mismatch(tmp_path):
     kernel = build_kernel_matrix(grid, 5, 0.9)
     save_kernel(path, kernel)
     # poison one entry on disk; a true cache hit returns the poisoned value
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[64:72] = np.array([123.5], dtype="<f8").tobytes()
-    open(path, "wb").write(bytes(data))
+    Path(path).write_bytes(bytes(data))
     hit = load_or_build_kernel(path, grid, 5, 0.9)
     assert hit.entries[0, 0] == 123.5
     # a different key ignores the cache and overwrites it
@@ -218,19 +219,19 @@ def test_kernel_cache_hit_keeps_column_deficit_guard(tmp_path):
 
 def test_kernel_cache_rejects_malformed_files(tmp_path):
     short = os.fspath(tmp_path / "short.bin")
-    open(short, "wb").write(b"EMTKERN1")
+    Path(short).write_bytes(b"EMTKERN1")
     with pytest.raises(FileFormatError):
         load_kernel(short)
     wrong = os.fspath(tmp_path / "wrong.bin")
-    open(wrong, "wb").write(b"NOTAKERN" + b"\x00" * 100)
+    Path(wrong).write_bytes(b"NOTAKERN" + b"\x00" * 100)
     with pytest.raises(FileFormatError):
         load_kernel(wrong)
     grid = BinGrid(-6.0, 6.0, 60)
     kernel = build_kernel_matrix(grid, 3, 1.0)
     truncated = os.fspath(tmp_path / "trunc.bin")
     save_kernel(truncated, kernel)
-    blob = open(truncated, "rb").read()
-    open(truncated, "wb").write(blob[:-16])
+    blob = Path(truncated).read_bytes()
+    Path(truncated).write_bytes(blob[:-16])
     with pytest.raises(FileFormatError):
         load_kernel(truncated)
 

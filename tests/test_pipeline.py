@@ -1,6 +1,7 @@
 import ast
 import builtins
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from emtomo import (
     load_wigner_grid,
     oracle_wigner_grid,
     reconstruct_wigner_grid,
-    reconstruct_wigner_point,
     sample_homodyne,
     save_kernel,
     save_wigner_grid,
@@ -29,6 +29,8 @@ from emtomo import (
     write_gnuplot_files,
 )
 from emtomo.pipeline import _read_config_object
+
+from .grid_point import reconstruct_point
 
 ONE_OVER_PI = 1.0 / np.pi
 
@@ -91,35 +93,33 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_point_reconstruction_hits_vacuum_wigner(vacuum_record, vacuum_kernel):
-    w, diag = reconstruct_wigner_point(vacuum_record, 0.0, 0.0, vacuum_kernel,
-                                       max_iter=2_000)
-    assert w == pytest.approx(ONE_OVER_PI, abs=0.01)
-    assert diag.overflow_fraction == 0.0
-    assert diag.rho_tail < 1e-3
-    assert diag.iterations == 2_000
-    w_off, _ = reconstruct_wigner_point(vacuum_record, 1.0, 1.0, vacuum_kernel,
-                                        max_iter=2_000)
-    assert w_off == pytest.approx(wigner_exact(vacuum_state(), 1.0, 1.0, 20), abs=0.012)
+    point = reconstruct_point(vacuum_record, 0.0, 0.0, vacuum_kernel, max_iter=2_000)
+    assert point.values[0, 0] == pytest.approx(ONE_OVER_PI, abs=0.01)
+    assert point.overflow_fraction[0, 0] == 0.0
+    assert point.rho_tail[0, 0] < 1e-3
+    assert point.iterations[0, 0] == 2_000
+    off = reconstruct_point(vacuum_record, 1.0, 1.0, vacuum_kernel, max_iter=2_000)
+    assert off.values[0, 0] == pytest.approx(wigner_exact(vacuum_state(), 1.0, 1.0, 20),
+                                             abs=0.012)
 
 
 def test_point_eta_mismatch_rejected(vacuum_record):
     kernel = build_kernel_matrix(BinGrid(-9.0, 9.0, 900), 8, 0.9)
     with pytest.raises(ValidationError):
-        reconstruct_wigner_point(vacuum_record, 0.0, 0.0, kernel)
+        reconstruct_point(vacuum_record, 0.0, 0.0, kernel)
 
 
 def test_point_overflow_guard(vacuum_record):
     tight = build_kernel_matrix(BinGrid(-1.0, 1.0, 100), 0, 0.85,
                                 max_column_deficit=None)
     with pytest.raises(ShiftOverflowError):
-        reconstruct_wigner_point(vacuum_record, 0.0, 0.0, tight, max_iter=5)
+        reconstruct_point(vacuum_record, 0.0, 0.0, tight, max_iter=5)
 
 
 def test_reconstruction_magnitude_bound(vacuum_record, vacuum_kernel):
     for q, p in [(0.0, 0.0), (1.5, -0.5), (-2.0, 2.0)]:
-        w, _ = reconstruct_wigner_point(vacuum_record, q, p, vacuum_kernel,
-                                        max_iter=400)
-        assert abs(w) <= ONE_OVER_PI * (1.0 + 1e-6)
+        point = reconstruct_point(vacuum_record, q, p, vacuum_kernel, max_iter=400)
+        assert abs(point.values[0, 0]) <= ONE_OVER_PI * (1.0 + 1e-6)
 
 
 def test_grid_scan_matches_pointwise_calls(vacuum_record, vacuum_kernel):
@@ -127,11 +127,9 @@ def test_grid_scan_matches_pointwise_calls(vacuum_record, vacuum_kernel):
     grid = reconstruct_wigner_grid(vacuum_record, cfg, kernel=vacuum_kernel)
     # recompute a few points in scrambled order; purity means bit equality
     for i, j in [(2, 1), (0, 0), (1, 2)]:
-        w, _ = reconstruct_wigner_point(
-            vacuum_record, float(grid.qs[i]), float(grid.ps[j]), vacuum_kernel,
-            max_iter=150,
-        )
-        assert w == grid.values[i, j]
+        point = reconstruct_point(vacuum_record, float(grid.qs[i]), float(grid.ps[j]),
+                                  vacuum_kernel, max_iter=150)
+        assert point.values[0, 0] == grid.values[i, j]
 
 
 def test_grid_fail_soft_records_failures(vacuum_record):
@@ -148,6 +146,10 @@ def test_grid_fail_soft_records_failures(vacuum_record):
     assert (1, 0) in grid.failures
     assert np.isnan(grid.values[1, 0])
     assert np.isfinite(grid.values[0, 0])
+    # a failed point writes nothing: NaN in every float column, 0 iterations
+    for column in (grid.values, grid.final_loglik, grid.overflow_fraction, grid.rho_tail):
+        assert np.isnan(column[1, 0]) and np.isfinite(column[0, 0])
+    assert grid.iterations[1, 0] == 0 and grid.iterations[0, 0] == 50
 
 
 def test_grid_all_points_failing_raises(vacuum_record):
@@ -236,8 +238,8 @@ def test_grid_file_deterministic_apart_from_timestamp(tmp_path, vacuum_record,
     save_wigner_grid(a, reconstruct_wigner_grid(vacuum_record, cfg, kernel=vacuum_kernel))
     save_wigner_grid(b, reconstruct_wigner_grid(vacuum_record, cfg, kernel=vacuum_kernel))
     keep = lambda line: not line.startswith("# generated:")
-    la = [l for l in open(a).read().splitlines() if keep(l)]
-    lb = [l for l in open(b).read().splitlines() if keep(l)]
+    la = [l for l in Path(a).read_text().splitlines() if keep(l)]
+    lb = [l for l in Path(b).read_text().splitlines() if keep(l)]
     assert la == lb
 
 
@@ -305,12 +307,12 @@ def test_gnuplot_emission(tmp_path):
                               np.linspace(-1, 1, 5), 20)
     prefix = str(tmp_path / "wig")
     dat, gp = write_gnuplot_files(grid, prefix)
-    dat_lines = open(dat).read().strip("\n").split("\n")
+    dat_lines = Path(dat).read_text().strip("\n").split("\n")
     # header + 4 blocks of 5 rows separated by blanks
     assert dat_lines[0].startswith("#")
     assert dat_lines.count("") == 3
     assert sum(1 for l in dat_lines if l and not l.startswith("#")) == 20
-    script = open(gp).read()
+    script = Path(gp).read_text()
     assert "splot" in script and "pm3d" in script
 
 
