@@ -8,7 +8,9 @@ the iteration
 
 increases the log-likelihood  L(rho) = sum_nu p_nu ln (A rho)_nu  at every
 step and converges to the maximum-likelihood photon-number distribution.
-Bins with zero counts drop out of the update, and each iterate is
+The bins are those of |x| (:class:`~emtomo.fock_kernel.BinGrid`): the model
+is even in x, so a bin and its mirror share one model value and count as
+one.  Bins with zero counts drop out of the update, and each iterate is
 renormalized by its own sum to absorb the small probability the kernel
 columns lose to the finite bin range.
 
@@ -25,13 +27,6 @@ have grown back to a normal float.  That is not guaranteed in general (the
 update scales an entry by its gradient over the iterate's sum, which can
 exceed 1); ``tests/test_bit_identity.py`` checks it against the unflushed
 loop on the criterion-5 record.
-
-On a symmetric grid (x_min == -x_max) the kernel rows of mirror bins nu and
-B-1-nu are bit-identical, and the phase-averaged model is even in x, so both
-bins share one model value.  EM therefore adds the counts of each mirror pair
-into the upper-half row (an odd grid's middle bin straddles 0 and is its own
-mirror) and runs on half the bins: only the order of floating-point sums
-changes, not the likelihood or the update.  EM refuses any other grid.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ _TINY = np.finfo(float).tiny
 
 @dataclass
 class Histogram:
-    """Binned quadrature samples.
+    """Quadrature samples binned into the ``grid.rows`` bins of |x|.
 
     ``overflow`` counts samples that fell outside the grid and were dropped;
     it is carried along so downstream guards can reject reconstructions that
@@ -73,9 +68,9 @@ class Histogram:
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if counts.shape != (self.grid.bin_count,):
+        if counts.shape != (self.grid.rows,):
             raise ValidationError(
-                f"counts shape {counts.shape} does not match {self.grid.bin_count} bins"
+                f"counts shape {counts.shape} does not match {self.grid.rows} bins of |x|"
             )
         if np.any(counts < 0):
             raise ValidationError("histogram counts must be non-negative")
@@ -182,7 +177,8 @@ def reconstruct_photon_distribution(
     Parameters
     ----------
     hist, kernel
-        Binned data and the matching response matrix (one symmetric grid).
+        Binned data and the matching response matrix, both on the bins of
+        |x| of one grid.
     max_iter : int
         Iteration budget.
     plateau_tol : float or None
@@ -207,19 +203,13 @@ def reconstruct_photon_distribution(
     """
     if hist.grid != kernel.grid:
         raise ValidationError("histogram and kernel use different bin grids")
-    if kernel.grid.x_min != -kernel.grid.x_max:
-        raise ValidationError(f"EM needs a symmetric bin grid (x_min = -x_max), got {kernel.grid}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     if hist.total == 0:
         raise EmptyHistogramError("histogram holds no counts")
-    # Fold mirror bins into the upper half, from bin B // 2 up (module docstring).
-    bins, half = kernel.grid.bin_count, kernel.grid.bin_count // 2
-    counts = hist.counts[half:].copy()
-    counts[bins - 2 * half:] += hist.counts[:half][::-1]
-    p = counts / hist.total
+    p = hist.counts / hist.total
     active = p > 0
-    a_act = np.ascontiguousarray(kernel.entries[half:][active])
+    a_act = np.ascontiguousarray(kernel.entries[active])
     p_act = p[active]
     dim = kernel.n_max + 1
     rho = np.full(dim, 1.0 / dim)

@@ -52,7 +52,7 @@ MAX_FOCK_N = 10_000
 DEFAULT_MAX_COLUMN_DEFICIT = 1e-6
 
 _KERNEL_MAGIC = b"EMTKERN1"
-_KERNEL_VERSION = 1
+_KERNEL_VERSION = 2
 _KERNEL_HEADER = struct.Struct("<8sIIddqqd8x")  # 64 bytes
 
 
@@ -139,11 +139,12 @@ def lossy_fock_quadrature_density(n: int, x, eta: float):
 
 @dataclass(frozen=True)
 class BinGrid:
-    """Uniform binning of a quadrature interval.
+    """Uniform binning of a symmetric quadrature interval [-x_max, x_max].
 
-    ``edges`` are built as center + (k - bin_count/2) * width, which makes a
-    symmetric grid (x_min == -x_max) mirror-exact in floating point; several
-    symmetry invariants of the kernel rely on that.
+    The densities the reconstruction models are even in x, so samples are
+    counted into the ``rows`` bins of |x|: bins bin_count//2 .. bin_count-1,
+    each also holding its mirror bin_count-1-nu (an odd grid's middle bin
+    straddles 0 and is its own mirror).  Mirror ``edges`` are exact negatives.
     """
 
     x_min: float
@@ -159,6 +160,8 @@ class BinGrid:
             raise ValidationError(
                 f"empty bin range: x_min={self.x_min}, x_max={self.x_max}"
             )
+        if self.x_min != -self.x_max:
+            raise ValidationError(f"bin grid must be symmetric, got [{self.x_min}, {self.x_max}]")
         if int(self.bin_count) < 1:
             raise ValidationError(f"bin_count must be >= 1, got {self.bin_count}")
         object.__setattr__(self, "bin_count", int(self.bin_count))
@@ -168,13 +171,15 @@ class BinGrid:
         return (self.x_max - self.x_min) / self.bin_count
 
     @property
+    def rows(self) -> int:
+        return self.bin_count - self.bin_count // 2
+
+    @property
     def edges(self) -> np.ndarray:
-        center = 0.5 * (self.x_min + self.x_max)
-        offsets = (np.arange(self.bin_count + 1) - 0.5 * self.bin_count) * self.width
-        return center + offsets
+        return (np.arange(self.bin_count + 1) - 0.5 * self.bin_count) * self.width
 
     def counts_in_place(self, buf: np.ndarray) -> tuple[np.ndarray, int]:
-        """Per-bin counts and overflow of the float64 samples in ``buf``.
+        """Counts in the bins of |x|, and overflow, of the float64 samples in ``buf``.
 
         A sample in [x_min, x_max] lands in bin floor((x - x_min) / width),
         clamped to the last bin: x_max itself, and samples just below it
@@ -182,7 +187,7 @@ class BinGrid:
         Samples outside the range, NaN included, count as overflow.  The
         bins are computed in ``buf``, whose contents are destroyed; the
         outside samples go to one spill bin past the grid, so a single
-        bincount yields both results.
+        bincount yields both results before the lower bins fold onto theirs.
         """
         outside = ~((buf >= self.x_min) & (buf <= self.x_max))
         buf -= self.x_min
@@ -191,49 +196,53 @@ class BinGrid:
         np.minimum(buf, self.bin_count - 1, out=buf)
         buf[outside] = self.bin_count
         counts = np.bincount(buf.astype(np.int64), minlength=self.bin_count + 1)
-        return counts[:-1], int(counts[-1])
+        half = self.bin_count // 2
+        counts[half + self.bin_count % 2:-1] += counts[:half][::-1]
+        return counts[half:-1], int(counts[-1])
 
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Bin-integrated lossy Fock densities A[nu][n] on a :class:`BinGrid`."""
+    """Bin-integrated lossy Fock densities A[nu][n] on the bins of |x| of a :class:`BinGrid`.
+
+    ``entries`` holds the rows of bins bin_count//2 up, unscaled: a bin of |x|
+    has twice its row's probability (once for an odd grid's middle row).
+    """
 
     grid: BinGrid
     n_max: int
     eta: float
-    entries: np.ndarray  # shape (bin_count, n_max + 1)
+    entries: np.ndarray  # shape (grid.rows, n_max + 1)
     column_deficits: np.ndarray = field(init=False)  # 1 - column sums, shape (n_max + 1,)
 
     def __post_init__(self):
-        expected = (self.grid.bin_count, self.n_max + 1)
+        expected = (self.grid.rows, self.n_max + 1)
         if self.entries.shape != expected:
             raise ValidationError(
                 f"kernel entries shape {self.entries.shape} != {expected}"
             )
-        object.__setattr__(self, "column_deficits", 1.0 - self.entries.sum(axis=0))
+        middle = self.entries[0] if self.grid.bin_count % 2 else 0.0
+        object.__setattr__(self, "column_deficits", 1.0 - (2.0 * self.entries.sum(axis=0) - middle))
 
 
 def _ideal_bin_integrals(grid: BinGrid, n_max: int) -> np.ndarray:
-    """Exact per-bin integrals of psi_n^2, shape (bins, n_max+1).
+    """Exact integrals of psi_n^2 over the bins of |x|, shape (grid.rows, n_max+1).
 
     The upper tail G_n(x) = int_x^inf psi_n^2 obeys G_0 = erfc(x)/2 and
-    G_n = G_{n-1} + psi_n psi_{n-1} / sqrt(2n).  A bin [a, b] holds
-    G(a) - G(b) for a >= 0, G(|b|) - G(|a|) for b <= 0 and 1 - G(|a|) - G(b)
-    when it straddles 0.  Only |edges| enter, so no tail is found by
-    subtracting from 1 and mirror bins of a symmetric grid get bit-identical
-    rows.
+    G_n = G_{n-1} + psi_n psi_{n-1} / sqrt(2n).  A bin [a, b] with a >= 0
+    holds G(a) - G(b); an odd grid's middle bin straddles 0 and holds
+    1 - G(|a|) - G(b).  Only edges from bin_count//2 up are evaluated, so
+    no tail is found by subtracting from 1 outside the middle bin.
     """
-    edges = grid.edges
-    x = np.abs(edges)
+    x = np.abs(grid.edges[grid.bin_count // 2:])
     psi = fock_wavefunctions(n_max, x)
     tails = np.empty_like(psi)
     tails[0] = 0.5 * erfc(x)
     tails[1:] = psi[1:] * psi[:-1] / np.sqrt(2.0 * np.arange(1, n_max + 1))[:, None]
     np.cumsum(tails, axis=0, out=tails)  # row n is G_n
-    left, right = tails[:, :-1], tails[:, 1:]
-    out = np.where(edges[:-1] >= 0.0, left - right, right - left)
-    straddle = (edges[:-1] < 0.0) & (edges[1:] > 0.0)
-    out[:, straddle] = 1.0 - left[:, straddle] - right[:, straddle]
+    out = tails[:, :-1] - tails[:, 1:]
+    if grid.bin_count % 2:
+        out[:, 0] = 1.0 - tails[:, 0] - tails[:, 1]
     return out.T
 
 
@@ -244,7 +253,7 @@ def build_kernel_matrix(
     *,
     max_column_deficit: float | None = DEFAULT_MAX_COLUMN_DEFICIT,
 ) -> KernelMatrix:
-    """Integrate the lossy Fock densities over every bin of a grid.
+    """Integrate the lossy Fock densities over every bin of |x| of a grid.
 
     The bin integrals of psi_k^2 are exact (:func:`_ideal_bin_integrals`)
     and the lossy columns are their binomial mixtures.
@@ -317,9 +326,10 @@ def _write_atomically(path: str, write: Callable[[BinaryIO], object]) -> None:
 def save_kernel(path: str, kernel: KernelMatrix) -> None:
     """Write a kernel to the binary cache format.
 
-    Layout: a 64-byte little-endian header (magic ``EMTKERN1``, version,
-    flags, x_min, x_max, bin_count, n_max, eta) followed by the entries as
-    row-major float64.
+    Layout: a 64-byte little-endian header (magic ``EMTKERN1``, version 2,
+    flags, x_min, x_max, bin_count, n_max, eta) followed by the entries, the
+    ``grid.rows`` rows of |x|, as row-major float64.  Version 1 held all
+    bin_count rows; it is refused as unsupported, so a cache rebuilds it.
     """
     header = _KERNEL_HEADER.pack(
         _KERNEL_MAGIC,
@@ -347,19 +357,19 @@ def load_kernel(path: str) -> KernelMatrix:
         if version != _KERNEL_VERSION:
             raise FileFormatError(f"{path}: unsupported kernel version {version}")
         raw = fh.read()
-    if bins < 1 or n_max < 0:
-        raise FileFormatError(f"{path}: invalid kernel dimensions {bins} x {n_max + 1}")
-    if len(raw) != 8 * bins * (n_max + 1):
-        raise FileFormatError(
-            f"{path}: expected {8 * bins * (n_max + 1)} bytes of entries, found {len(raw)}"
-        )
-    entries = np.frombuffer(raw, dtype="<f8").reshape(bins, n_max + 1).astype(float)
-    if not np.all(np.isfinite(entries)):
-        raise FileFormatError(f"{path}: kernel entries contain non-finite values")
     try:
         grid = BinGrid(x_min, x_max, bins)
     except ValidationError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
+    if n_max < 0:
+        raise FileFormatError(f"{path}: invalid kernel dimensions {grid.rows} x {n_max + 1}")
+    if len(raw) != 8 * grid.rows * (n_max + 1):
+        raise FileFormatError(
+            f"{path}: expected {8 * grid.rows * (n_max + 1)} bytes of entries, found {len(raw)}"
+        )
+    entries = np.frombuffer(raw, dtype="<f8").reshape(grid.rows, n_max + 1).astype(float)
+    if not np.all(np.isfinite(entries)):
+        raise FileFormatError(f"{path}: kernel entries contain non-finite values")
     return KernelMatrix(grid=grid, n_max=int(n_max), eta=float(eta), entries=entries)
 
 

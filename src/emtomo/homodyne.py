@@ -347,7 +347,7 @@ def sample_homodyne(
 
 def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
                         grid: BinGrid) -> Histogram:
-    """Bin x - sqrt(eta) (q cos theta + p sin theta) over the whole record.
+    """Bin |x - sqrt(eta) (q cos theta + p sin theta)| over the whole record.
 
     The shift centers the statistics of the state displaced by -(q + ip)
     (in phase-space coordinates), which is what makes a single phase-averaged
@@ -363,7 +363,7 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     """
     thetas, xs = record.thetas, record.xs
     scale = np.sqrt(record.eta)
-    counts = np.zeros(grid.bin_count, dtype=np.int64)
+    counts = np.zeros(grid.rows, dtype=np.int64)
     overflow = 0
     for start in range(0, xs.size, _SLICE):
         th = thetas[start : start + _SLICE]

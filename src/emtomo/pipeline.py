@@ -96,8 +96,6 @@ class ReconstructionConfig:
         for f in fields(self):
             _check_field_type(f.name, getattr(self, f.name))
         _check_eta(self.eta)
-        if self.x_min != -self.x_max:
-            raise ValidationError(f"bin grid must be symmetric, got [{self.x_min}, {self.x_max}]")
         if (self.n_max is None) == (self.localization_radius is None):
             raise ValidationError(
                 "set exactly one of n_max and localization_radius"
@@ -108,6 +106,7 @@ class ReconstructionConfig:
             count = getattr(self, name)
             if not 1 <= count <= _MAX_COUNT:
                 raise ValidationError(f"{name} must lie in [1, {_MAX_COUNT}], got {count}")
+        self.bin_grid()  # refuses an empty or asymmetric bin range
         for name in ("q", "p"):
             lo = getattr(self, f"{name}_min")
             hi = getattr(self, f"{name}_max")

@@ -16,9 +16,9 @@ own recurrences.
 Three routes restate production arithmetic the slow, obvious way, so that a
 faster production path can be required to match them bit for bit: an EM
 loop that never flushes subnormal entries, allocates every temporary and
-runs on the bins it is given (the unfolded ones, or those of
-:func:`fold_mirror_bins`),
-a shifted histogram that evaluates cos and sin at every sample, and a
+runs on the bins it is given (all bins, through :func:`mirror_rows`, or the
+bins of |x|), a shifted histogram that evaluates cos and sin at every sample
+and bins x rather than |x| (:func:`fold_mirror_bins` folds its counts), and a
 text-record reader that parses every line with ``float``.
 """
 
@@ -213,8 +213,8 @@ def em_unflushed(counts: np.ndarray, entries: np.ndarray, max_iter: int,
     return rho, float(p_act @ np.log(a_act @ rho)), it
 
 
-def fold_mirror_bins(counts: np.ndarray, entries: np.ndarray):
-    """Counts of |x| and the matching kernel rows on a symmetric grid.
+def fold_mirror_bins(counts: np.ndarray) -> np.ndarray:
+    """Counts of |x| from the counts of all bins of a symmetric grid.
 
     Bin nu and its mirror B-1-nu are summed into the upper-half bin, from
     B // 2 up; an odd grid's middle bin is its own mirror and is kept once.
@@ -223,7 +223,12 @@ def fold_mirror_bins(counts: np.ndarray, entries: np.ndarray):
     folded = (counts + counts[::-1])[bins // 2:]
     if bins % 2:
         folded[0] = counts[bins // 2]
-    return folded, entries[bins // 2:]
+    return folded
+
+
+def mirror_rows(rows: np.ndarray, bin_count: int) -> np.ndarray:
+    """Kernel rows of all bins from the rows of |x|: a lower bin takes its mirror's row."""
+    return np.concatenate((rows[::-1][: bin_count // 2], rows))
 
 
 def shifted_histogram_per_sample(thetas, xs, eta, q, p, x_min, x_max, bin_count):

@@ -2,9 +2,10 @@
 
 Flushing subnormal EM entries and evaluating the shift once per run of equal
 phases must not move a Wigner value, a log-likelihood or a histogram count
-by a single bit.  Folding mirror bins before EM only reorders sums, so it
-must keep W and rho within 1e-13 of the unfolded iteration and stop a
-plateau run on the same iteration.  The references in ``reference_routes``
+by a single bit.  Binning |x| rather than x only reorders sums, so it must
+keep W and rho within 1e-13 of the iteration on all bins and stop a plateau
+run on the same iteration, and its counts must equal the per-sample counts
+of x folded over x -> -x.  The references in ``reference_routes``
 restate the plain arithmetic without any of these shortcuts.
 """
 
@@ -13,6 +14,7 @@ import pytest
 
 from emtomo import (
     BinGrid,
+    Histogram,
     HomodyneRecord,
     build_kernel_matrix,
     cat_state,
@@ -25,7 +27,12 @@ from emtomo import (
 from emtomo import homodyne
 
 from .grid_point import reconstruct_point
-from .reference_routes import em_unflushed, fold_mirror_bins, shifted_histogram_per_sample
+from .reference_routes import (
+    em_unflushed,
+    fold_mirror_bins,
+    mirror_rows,
+    shifted_histogram_per_sample,
+)
 
 TINY = np.finfo(float).tiny
 
@@ -48,8 +55,8 @@ def cat_kernel():
 @pytest.mark.parametrize("q, p", CRITERION_5_POINTS)
 def test_flushed_em_matches_unflushed_loop_bitwise(cat_record, cat_kernel, q, p):
     hist = shift_and_histogram(cat_record, q, p, cat_kernel.grid)
-    # both loops run on the folded bins, so the flush is all that differs
-    rho, loglik, _ = em_unflushed(*fold_mirror_bins(hist.counts, cat_kernel.entries), 2_000)
+    # both loops run on the bins of |x|, so the flush is all that differs
+    rho, loglik, _ = em_unflushed(hist.counts, cat_kernel.entries, 2_000)
     # the unflushed loop does reach subnormal entries at these points
     assert np.any((rho > 0.0) & (rho < TINY))
     dist, _diag = reconstruct_photon_distribution(hist, cat_kernel, max_iter=2_000)
@@ -71,10 +78,12 @@ def test_folded_em_matches_unfolded_iteration(cat_record, bins, eta):
     record = cat_record if eta == 0.9 else sample_homodyne(
         cat_state(1.5j, np.pi, 26), 16, 10_000, eta, 777)
     kernel = build_kernel_matrix(BinGrid(-13.0, 13.0, bins), default_cutoff(CAT_RADIUS), eta)
+    rows = mirror_rows(kernel.entries, bins)
     parity = (-1.0) ** np.arange(kernel.n_max + 1)
     for q, p in CRITERION_5_POINTS:
         hist = shift_and_histogram(record, q, p, kernel.grid)
-        rho, _, _ = em_unflushed(hist.counts, kernel.entries, 2_000)
+        counts, _ = _per_sample_histogram(record, q, p, kernel.grid)
+        rho, _, _ = em_unflushed(counts, rows, 2_000)
         dist, _diag = reconstruct_photon_distribution(hist, kernel, max_iter=2_000)
         assert np.max(np.abs(dist.probs - rho)) <= 1e-13
         point = reconstruct_point(record, q, p, kernel, max_iter=2_000)
@@ -85,9 +94,11 @@ def test_folded_em_stops_a_plateau_run_on_the_unfolded_iteration():
     # calib-plateau's settings: a coherent state, 16000 bins, n_max 10
     record = sample_homodyne(coherent_state(1.0, 18), 64, 10_000, 0.85, 20240814)
     kernel = build_kernel_matrix(BinGrid(-8.0, 8.0, 16_000), 10, 0.85)
+    rows = mirror_rows(kernel.entries, 16_000)
     for q in (0.0, np.sqrt(2.0), 2.0 * np.sqrt(2.0)):
         hist = shift_and_histogram(record, q, 0.0, kernel.grid)
-        rho, _, its = em_unflushed(hist.counts, kernel.entries, 10_000, plateau_tol=1e-8)
+        counts, _ = _per_sample_histogram(record, q, 0.0, kernel.grid)
+        rho, _, its = em_unflushed(counts, rows, 10_000, plateau_tol=1e-8)
         dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=10_000,
                                                      plateau_tol=1e-8)
         assert diag.stop_reason == "plateau"
@@ -95,15 +106,35 @@ def test_folded_em_stops_a_plateau_run_on_the_unfolded_iteration():
         assert np.max(np.abs(dist.probs - rho)) <= 1e-13
 
 
+def _per_sample_histogram(record, q, p, grid):
+    """Per-sample counts of all bins of ``grid``, and the overflow."""
+    return shifted_histogram_per_sample(record.thetas, record.xs, record.eta, q, p,
+                                        grid.x_min, grid.x_max, grid.bin_count)
+
+
 def _assert_same_histogram(record, q, p, grid):
     hist = shift_and_histogram(record, q, p, grid)
-    counts, overflow = shifted_histogram_per_sample(
-        record.thetas, record.xs, record.eta, q, p,
-        grid.x_min, grid.x_max, grid.bin_count,
-    )
-    assert np.array_equal(hist.counts, counts)
+    counts, overflow = _per_sample_histogram(record, q, p, grid)
+    assert np.array_equal(hist.counts, fold_mirror_bins(counts))
     assert hist.overflow == overflow
     return overflow
+
+
+@pytest.mark.parametrize("bins", [8, 7], ids=["even", "odd"])
+def test_binned_counts_of_abs_x_fold_the_per_sample_counts(bins):
+    grid = BinGrid(-2.0, 2.0, bins)
+    half_middle = 0.5 * grid.width  # the odd grid's middle bin is [-half_middle, half_middle]
+    edge_samples = [0.0, -0.0, 2.0, -2.0, np.nextafter(2.0, 0.0), np.nextafter(-2.0, 0.0),
+                    half_middle, -half_middle, np.nextafter(half_middle, 0.0),
+                    np.nextafter(-half_middle, 0.0), np.nextafter(half_middle, 1.0),
+                    np.nextafter(-half_middle, -1.0), 2.5, -3.0, np.nan]
+    samples = np.concatenate((edge_samples, np.random.default_rng(97).normal(0.0, 1.2, 5_000)))
+    hist = Histogram.from_samples(grid, samples)
+    counts, overflow = shifted_histogram_per_sample(
+        np.zeros(samples.size), samples, 1.0, 0.0, 0.0, grid.x_min, grid.x_max, bins)
+    assert hist.counts.size == grid.rows == bins - bins // 2
+    assert np.array_equal(hist.counts, fold_mirror_bins(counts))
+    assert hist.overflow == overflow
 
 
 def test_grouped_shift_matches_per_sample_histogram(cat_record):

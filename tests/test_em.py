@@ -16,6 +16,8 @@ from emtomo import (
 )
 from emtomo.em import _em_iterate, _log_likelihood
 
+from .reference_routes import mirror_rows, shifted_histogram_per_sample
+
 
 def em_step(p, a, rho):
     """One EM update of ``rho`` (left as it is) by the iterate the pipeline runs."""
@@ -61,7 +63,8 @@ def test_default_cutoff_examples():
 def test_histogram_from_samples_counts_and_overflow():
     grid = BinGrid(-1.0, 1.0, 4)
     hist = Histogram.from_samples(grid, [-2.0, -0.9, -0.1, 0.1, 0.6, 1.0, 5.0])
-    assert list(hist.counts) == [1, 1, 1, 2]
+    # bins of x hold [1, 1, 1, 2]; bins of |x| hold [1 + 1, 2 + 1]
+    assert list(hist.counts) == [2, 3]
     assert hist.overflow == 2
     assert hist.total == 5
 
@@ -70,7 +73,7 @@ def test_histogram_from_samples_counts_nan_as_overflow():
     grid = BinGrid(-1.0, 1.0, 4)
     samples = np.array([np.nan, 0.1, np.inf, -np.inf, 1.0])
     hist = Histogram.from_samples(grid, samples)
-    assert list(hist.counts) == [0, 0, 1, 1]
+    assert list(hist.counts) == [1, 1]
     assert hist.overflow == 3
     # the caller's samples are left as they were
     assert np.isnan(samples[0]) and samples[1] == 0.1
@@ -78,11 +81,12 @@ def test_histogram_from_samples_counts_nan_as_overflow():
 
 def test_histogram_validation():
     grid = BinGrid(-1.0, 1.0, 3)
+    # three bins of x make two bins of |x|
     with pytest.raises(ValidationError):
-        Histogram(grid, np.array([1, 2]))
+        Histogram(grid, np.array([1, 2, 3]))
     with pytest.raises(ValidationError):
-        Histogram(grid, np.array([1, -2, 0]))
-    empty = Histogram(grid, np.zeros(3, dtype=int))
+        Histogram(grid, np.array([1, -2]))
+    empty = Histogram(grid, np.zeros(2, dtype=int))
     kernel = build_kernel_matrix(grid, 0, 1.0, max_column_deficit=None)
     with pytest.raises(EmptyHistogramError):
         reconstruct_photon_distribution(empty, kernel, max_iter=1)
@@ -233,17 +237,20 @@ def test_reconstruct_plateau_stopping():
 def test_reconstruct_trace_cadence_and_table():
     grid = BinGrid(-6.0, 6.0, 120)
     kernel = build_kernel_matrix(grid, 3, 1.0)
-    rng = np.random.default_rng(8)
-    hist = Histogram.from_samples(grid, rng.normal(0.0, 0.75, size=5_000))
+    samples = np.random.default_rng(8).normal(0.0, 0.75, size=5_000)
+    hist = Histogram.from_samples(grid, samples)
     dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=120)
     assert list(diag.trace_iterations) == [0, 100, 120]
     assert diag.final_loglik == diag.loglik_trace[-1]
-    # the trace runs the one log-likelihood evaluator, on the 60 folded bins
-    folded = (hist.counts[60:] + hist.counts[59::-1]) / hist.total
-    assert diag.final_loglik == log_likelihood(folded, kernel.entries[60:], dist.probs)
-    # which the fold leaves unchanged up to rounding
+    # the trace runs the one log-likelihood evaluator, on the 60 bins of |x|
+    assert diag.final_loglik == log_likelihood(hist.counts / hist.total, kernel.entries,
+                                               dist.probs)
+    # which equals the likelihood over all 120 bins up to rounding
+    counts, _ = shifted_histogram_per_sample(np.zeros(5_000), samples, 1.0, 0.0, 0.0,
+                                             -6.0, 6.0, 120)
     assert diag.final_loglik == pytest.approx(
-        log_likelihood(hist.counts / hist.total, kernel.entries, dist.probs), rel=0, abs=1e-14
+        log_likelihood(counts / hist.total, mirror_rows(kernel.entries, 120), dist.probs),
+        rel=0, abs=1e-14,
     )
 
 
@@ -252,8 +259,8 @@ def test_reconstruct_flat_start_zero_counts_everywhere_but_center():
     # result leans heavily on the vacuum column
     grid = BinGrid(-5.0, 5.0, 100)
     kernel = build_kernel_matrix(grid, 3, 1.0)
-    counts = np.zeros(100, dtype=int)
-    counts[48:52] = 500
+    counts = np.zeros(50, dtype=int)
+    counts[:2] = 1000  # bins 48 to 51 of x
     hist = Histogram(grid, counts)
     dist, _diag = reconstruct_photon_distribution(hist, kernel, max_iter=400)
     assert dist.probs[0] > 0.5
@@ -261,15 +268,6 @@ def test_reconstruct_flat_start_zero_counts_everywhere_but_center():
 
 def test_grid_mismatch_rejected():
     kernel = build_kernel_matrix(BinGrid(-5.0, 5.0, 100), 3, 1.0)
-    hist = Histogram(BinGrid(-4.0, 4.0, 100), np.ones(100, dtype=int))
+    hist = Histogram(BinGrid(-4.0, 4.0, 100), np.ones(50, dtype=int))
     with pytest.raises(ValidationError):
-        reconstruct_photon_distribution(hist, kernel, max_iter=10)
-
-
-def test_asymmetric_grid_rejected():
-    # EM folds mirror bins together, which needs x_min = -x_max
-    grid = BinGrid(-6.0, 7.0, 130)
-    kernel = build_kernel_matrix(grid, 3, 1.0)
-    hist = Histogram(grid, np.ones(130, dtype=int))
-    with pytest.raises(ValidationError, match="symmetric"):
         reconstruct_photon_distribution(hist, kernel, max_iter=10)

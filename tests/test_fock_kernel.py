@@ -22,6 +22,7 @@ from emtomo import (
 from .reference_routes import (
     gauss_legendre_bin_integrals,
     lossy_fock_quadrature_density_convolution,
+    mirror_rows,
 )
 
 
@@ -108,8 +109,10 @@ def test_bin_grid_basics():
     grid = BinGrid(-2.0, 2.0, 8)
     assert grid.width == pytest.approx(0.5)
     assert grid.edges[0] == -2.0 and grid.edges[-1] == 2.0
+    assert grid.rows == 4
+    # bins of x hold [2, 0, 0, 0, 1, 0, 0, 2]; the bins of |x| fold them
     hist = Histogram.from_samples(grid, [-2.0, -1.99, 0.0, 1.99, 2.0, 2.1, -3.0])
-    assert list(hist.counts) == [2, 0, 0, 0, 1, 0, 0, 2]
+    assert list(hist.counts) == [1, 0, 0, 4]
     assert hist.overflow == 2
     # symmetric grids mirror bit-exactly
     centers = 0.5 * (grid.edges[:-1] + grid.edges[1:])
@@ -120,29 +123,28 @@ def test_bin_grid_basics():
         BinGrid(-1.0, 1.0, 0)
 
 
+def test_asymmetric_grid_rejected():
+    # only a symmetric grid can bin |x|
+    with pytest.raises(ValidationError, match="symmetric"):
+        BinGrid(-6.0, 7.0, 130)
+
+
 def test_bin_indices_clamp_to_last_bin_and_send_nan_out():
     grid = BinGrid(-8.0, 8.0, 16_000)
     below = np.nextafter(8.0, -np.inf)
     hist = Histogram.from_samples(grid, [below, 8.0, np.nan, np.inf])
-    assert hist.counts[15_999] == 2 and hist.total == 2
+    assert hist.counts[-1] == 2 and hist.total == 2
     assert hist.overflow == 2
 
 
-def test_kernel_mirror_symmetry_is_exact():
-    grid = BinGrid(-7.0, 7.0, 350)
-    kernel = build_kernel_matrix(grid, 12, 0.85)
-    assert np.array_equal(kernel.entries, kernel.entries[::-1])
-
-
-@pytest.mark.parametrize("x_min, x_max, bins, n_max", [
-    (-7.0, 7.0, 140, 10),  # coarse bins
-    (-6.0, 6.0, 121, 20),  # odd bin count: the middle bin straddles 0
-    (-3.0, 5.0, 333, 15),  # asymmetric range
-], ids=["coarse", "straddle", "asymmetric"])
-def test_kernel_closed_form_matches_quadrature(x_min, x_max, bins, n_max):
-    grid = BinGrid(x_min, x_max, bins)
+@pytest.mark.parametrize("x_max, bins, n_max", [
+    (7.0, 140, 10),  # coarse bins
+    (6.0, 121, 20),  # odd bin count: the middle bin straddles 0
+], ids=["coarse", "straddle"])
+def test_kernel_closed_form_matches_quadrature(x_max, bins, n_max):
+    grid = BinGrid(-x_max, x_max, bins)
     kernel = build_kernel_matrix(grid, n_max, 0.9, max_column_deficit=None)
-    reference = gauss_legendre_bin_integrals(grid.edges, n_max, 0.9)
+    reference = gauss_legendre_bin_integrals(grid.edges[bins // 2:], n_max, 0.9)
     assert np.max(np.abs(kernel.entries - reference)) < 1e-11
     assert np.all(kernel.entries >= 0.0)
 
@@ -236,10 +238,17 @@ def test_kernel_cache_rejects_malformed_files(tmp_path):
         load_kernel(truncated)
 
 
+def _as_version_1(blob):
+    """The 60-bin, n_max 3 kernel below in the version-1 layout, which held all 60 rows."""
+    rows = np.frombuffer(blob[64:], dtype="<f8").reshape(30, 4)
+    return blob[:8] + (1).to_bytes(4, "little") + blob[12:64] + mirror_rows(rows, 60).tobytes()
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda blob: blob[:16] + np.array([np.nan], dtype="<f8").tobytes() + blob[24:],
     lambda blob: blob[:-3],
-], ids=["nan-x-min", "partial-entry"])
+    _as_version_1,
+], ids=["nan-x-min", "partial-entry", "version-1"])
 def test_corrupt_kernel_cache_is_rebuilt(tmp_path, corrupt):
     path = os.fspath(tmp_path / "kernel.bin")
     grid = BinGrid(-6.0, 6.0, 60)

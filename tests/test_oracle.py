@@ -226,10 +226,11 @@ def test_smeared_value_reachable_from_binned_data_without_em():
     rec = sample_homodyne(vacuum_state(), 4, 250_000, eta, 314159)
     grid = BinGrid(-6.0, 6.0, 600)
     hist = Histogram.from_samples(grid, rec.xs)
-    centers = 0.5 * (grid.edges[:-1] + grid.edges[1:])
+    # the bins of |x| give the second moment; the phase-averaged mean is 0
+    upper = grid.edges[grid.bin_count // 2:]
+    centers = 0.5 * (upper[:-1] + upper[1:])
     freqs = hist.counts / hist.total
-    mean = float(freqs @ centers)
-    var = float(freqs @ (centers - mean) ** 2) + grid.width**2 / 12.0
+    var = float(freqs @ centers**2) + grid.width**2 / 12.0
     v_ideal = (var - 0.5 * (1.0 - eta)) / eta
     estimate = 1.0 / (2.0 * np.pi * (v_ideal + 0.5 * s))
     oracle_value = s_ordered_quasidistribution(vacuum_state(), 0.0, 0.0, s, 40)
