@@ -79,6 +79,17 @@ def _parse_deficit(text: str):
         ) from None
 
 
+def _parse_bound(text: str) -> float:
+    try:
+        bound = float(text)
+    except ValueError:
+        bound = math.nan
+    # Written so that NaN fails it.
+    if not 0.0 <= bound < math.inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return bound
+
+
 def _add_state_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--state", required=True,
                         choices=["vacuum", "fock", "coherent", "cat"],
@@ -258,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare", help="error norms between two grid files")
     cmp_.add_argument("grid_a")
     cmp_.add_argument("grid_b")
-    cmp_.add_argument("--max-abs", type=float, default=None,
+    cmp_.add_argument("--max-abs", type=_parse_bound, default=None,
                       help="fail (exit 6) if the max abs difference exceeds this")
     cmp_.set_defaults(func=_cmd_compare)
 

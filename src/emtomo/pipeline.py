@@ -156,6 +156,9 @@ def _check_field_type(name: str, value) -> None:
     # Written so that NaN fails it; an int beyond the float range fails too.
     if kind == "float" and not abs(value) <= _FLOAT_MAX:
         raise ValidationError(f"{name} must be finite, got {value!r}")
+    # a path in a grid file's meta lines, which a line break would split
+    if kind == "str" and ("\n" in value or "\r" in value):
+        raise ValidationError(f"{name} cannot hold a line break, got {value!r}")
 
 
 def _read_config_object(path: str) -> dict:
@@ -296,12 +299,16 @@ def save_wigner_grid(path: str, grid: WignerGrid) -> None:
     """Write a grid as a plain-text table.
 
     Output is deterministic for identical inputs except the timestamp, which
-    stays confined to its own comment line.
+    stays confined to its own comment line.  A meta key or value holding a
+    line break is refused, and nothing is written: it would reload as other
+    lines.
     """
     lines = [_GRID_MAGIC_LINE]
     lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
     for key in sorted(grid.meta):
         lines.append(f"# meta {key}={grid.meta[key]}")
+        if "\n" in lines[-1] or "\r" in lines[-1]:
+            raise ValidationError(f"a grid meta entry cannot hold a line break: {lines[-1]!r}")
     lines.append(f"# q_steps: {grid.qs.size}")
     lines.append(f"# p_steps: {grid.ps.size}")
     for (i, j), message in sorted(grid.failures.items()):
@@ -435,17 +442,26 @@ def write_gnuplot_files(grid: WignerGrid, out_prefix: str) -> tuple[str, str]:
                      for j, pv in enumerate(grid.ps))
         lines.append("")
     data = ("\n".join(lines) + "\n").encode()
-    kind = grid.meta.get("kind", "wigner")
+    title = _gnuplot_string(f"Wigner function ({grid.meta.get('kind', 'wigner')})")
     script = (
-        "set title 'Wigner function (%s)'\n"
+        "set title %s\n"
         "set xlabel 'q'\n"
         "set ylabel 'p'\n"
         "set pm3d at s\n"
         "set hidden3d\n"
         "set contour base\n"
-        "splot '%s' using 1:2:3 with pm3d notitle\n"
-        "pause -1 'press return to close'\n" % (kind, dat_path)
+        "splot %s using 1:2:3 with pm3d notitle\n"
+        "pause -1 'press return to close'\n" % (title, _gnuplot_string(dat_path))
     ).encode()
     _write_atomically(dat_path, lambda fh: fh.write(data))
     _write_atomically(gp_path, lambda fh: fh.write(script))
     return dat_path, gp_path
+
+
+def _gnuplot_string(text: str) -> str:
+    """``text`` as a single-quoted gnuplot string, which is read literally
+    except that '' stands for one quote; a line break would end the command,
+    so it is refused."""
+    if "\n" in text or "\r" in text:
+        raise ValidationError(f"a gnuplot string cannot hold a line break: {text!r}")
+    return "'" + text.replace("'", "''") + "'"

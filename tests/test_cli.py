@@ -255,6 +255,13 @@ def test_tolerance_exit_6(workdir, tmp_path, capsys):
                "--max-abs", "1e-6"])
     assert rc == 6
     assert capsys.readouterr().err.startswith("error: tolerance:")
+    # a bound that every difference passes, or none, is a usage error
+    for bound in ("nan", "-1", "inf", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(workdir / "grid.txt"), str(tmp_path / "fock.txt"),
+                  "--max-abs", bound])
+        assert exc.value.code == 2
+        assert "not a finite number >= 0" in capsys.readouterr().err
 
 
 def test_oracle_localization_radius_cutoff(tmp_path, capsys):
@@ -367,7 +374,9 @@ def test_config_asymmetric_grid_exits_3(workdir, tmp_path, capsys):
     assert not (tmp_path / "never.txt").exists()
 
 
-@pytest.mark.parametrize("value", [["a"], 1.5, {"a": 1}], ids=["list", "float", "object"])
+# a line break would split the path's meta line in the grid file
+@pytest.mark.parametrize("value", [["a"], 1.5, {"a": 1}, "d/rec\n1 2 3 4 5 6 7.txt", "rec\r.txt"],
+                         ids=["list", "float", "object", "newline", "carriage-return"])
 @pytest.mark.parametrize("field", ["record_path", "output_path", "kernel_cache"])
 def test_config_path_types_checked(workdir, tmp_path, monkeypatch, capsys, field, value):
     # An int or a bool would name a file descriptor of this process, so none is used.

@@ -316,6 +316,38 @@ def test_gnuplot_emission(tmp_path):
     assert "splot" in script and "pm3d" in script
 
 
+def test_gnuplot_strings_are_quoted(tmp_path, monkeypatch):
+    # inside gnuplot's single quotes only '' is special: it stands for one quote
+    monkeypatch.chdir(tmp_path)
+    grid = oracle_wigner_grid(vacuum_state(), [0.0], [0.0], 10)
+    grid.meta["kind"] = "x)'; print system('echo INJECTED'); #"
+    _, gp = write_gnuplot_files(grid, "it's")
+    lines = Path(gp).read_text().splitlines()
+    assert lines[0] == "set title 'Wigner function (x)''; print system(''echo INJECTED''); #)'"
+    assert lines[6] == "splot 'it''s.dat' using 1:2:3 with pm3d notitle"
+
+
+@pytest.mark.parametrize("kind, prefix", [("a\nb", "fig"), ("vacuum", "fi\rg")],
+                         ids=["title", "data-path"])
+def test_gnuplot_refuses_a_line_break(tmp_path, monkeypatch, kind, prefix):
+    monkeypatch.chdir(tmp_path)
+    grid = oracle_wigner_grid(vacuum_state(), [0.0], [0.0], 10)
+    grid.meta["kind"] = kind
+    with pytest.raises(ValidationError, match="line break"):
+        write_gnuplot_files(grid, prefix)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("key, value", [("record_path", "d/rec\n1 2 3.txt"), ("a\rb", "x")],
+                         ids=["value", "key"])
+def test_grid_meta_line_break_refused(tmp_path, key, value):
+    grid = oracle_wigner_grid(vacuum_state(), [0.0], [0.0], 10)
+    grid.meta[key] = value
+    with pytest.raises(ValidationError, match="line break"):
+        save_wigner_grid(str(tmp_path / "g.txt"), grid)
+    assert os.listdir(tmp_path) == []
+
+
 class _HalfWrittenFile:
     """Stands in for a file whose first write stores half its data, then fails."""
 
