@@ -37,7 +37,6 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 from scipy.special import erfc
-from scipy.stats import binom
 
 from .errors import ColumnDeficitError, CutoffTooLargeError, FileFormatError, ValidationError
 
@@ -107,9 +106,18 @@ def fock_wavefunctions(n_max: int, x) -> np.ndarray:
 
 
 def _binomial_mixture_matrix(n_max: int, eta: float) -> np.ndarray:
-    """Lower-triangular M with M[n, k] = C(n,k) eta^k (1-eta)^(n-k)."""
-    ns = np.arange(n_max + 1)
-    return binom.pmf(ns[None, :], ns[:, None], eta)
+    """Lower-triangular M with M[n, k] = C(n,k) eta^k (1-eta)^(n-k).
+
+    Built by Pascal's rule, M[n] = (1-eta) M[n-1] + eta shift(M[n-1]), so
+    every entry is a sum of nonnegative terms and eta == 1 gives exactly
+    the identity.
+    """
+    m = np.zeros((n_max + 1, n_max + 1))
+    m[0, 0] = 1.0
+    for n in range(1, n_max + 1):
+        m[n, :n] = (1.0 - eta) * m[n - 1, :n]
+        m[n, 1:n + 1] += eta * m[n - 1, :n]
+    return m
 
 
 def _check_eta(eta) -> float:
@@ -132,7 +140,7 @@ def lossy_fock_quadrature_density(n: int, x, eta: float):
     n = _check_order_n(n)
     eta = _check_eta(eta)
     psi2 = fock_wavefunctions(n, x) ** 2
-    weights = binom.pmf(np.arange(n + 1), n, eta)
+    weights = _binomial_mixture_matrix(n, eta)[n]
     out = np.tensordot(weights, psi2, axes=(0, 0))
     return out if np.ndim(x) else float(out)
 

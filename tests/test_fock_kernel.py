@@ -1,9 +1,14 @@
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import eval_hermite, gammaln
+from scipy.stats import binom
+
+import emtomo
 
 from emtomo import (
     BinGrid,
@@ -19,6 +24,7 @@ from emtomo import (
     lossy_fock_quadrature_density,
     save_kernel,
 )
+from emtomo.fock_kernel import _binomial_mixture_matrix
 from .reference_routes import (
     gauss_legendre_bin_integrals,
     lossy_fock_quadrature_density_convolution,
@@ -79,6 +85,30 @@ def test_lossy_density_routes_agree():
             a = lossy_fock_quadrature_density(n, x, eta)
             b = lossy_fock_quadrature_density_convolution(n, x, eta)
             assert np.max(np.abs(a - b)) < 1e-9
+
+
+@pytest.mark.parametrize("n_max, eta", [(39, 0.9), (10, 0.85), (70, 0.5)])
+def test_binomial_mixture_matches_binomial_pmf(n_max, eta):
+    ns = np.arange(n_max + 1)
+    reference = binom.pmf(ns[None, :], ns[:, None], eta)
+    mixture = _binomial_mixture_matrix(n_max, eta)
+    assert np.array_equal(mixture == 0.0, reference == 0.0)
+    upper = reference > 0.0
+    assert np.max(np.abs(mixture[upper] / reference[upper] - 1.0)) < 1e-13
+
+
+def test_binomial_mixture_is_the_identity_at_unit_efficiency():
+    assert np.array_equal(_binomial_mixture_matrix(30, 1.0), np.eye(31))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a cold import's time, and nothing needs it
+    src = os.fspath(Path(emtomo.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, emtomo; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_lossy_density_reduces_to_ideal_at_unit_efficiency():
