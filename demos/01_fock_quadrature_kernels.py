@@ -39,15 +39,16 @@ for n, eta in [(0, 0.8), (3, 0.8), (10, 0.55)]:
           f"mass on [-6, 6] = {mass:.9f}")
 
 # The reconstruction works on histograms, so the continuous densities get
-# integrated over every bin of a uniform grid.  Column n of the kernel is
-# then the exact probability that a sample drawn from Fock state n lands in
-# each bin.
+# integrated over the bins of a uniform symmetric grid.  The densities are
+# even in x, so the kernel keeps one row per bin of |x| (bins 800 .. 1599):
+# column n, doubled, is the exact probability that a sample drawn from Fock
+# state n lands in each bin of |x|.
 grid = BinGrid(-8.0, 8.0, 1600)
 kernel = build_kernel_matrix(grid, 12, 0.85)
-sums = kernel.entries.sum(axis=0)
+sums = 1.0 - kernel.column_deficits
 print(f"\nkernel on [-8, 8] x 1600 bins, n <= 12, eta = 0.85:")
-print(f"  shape {kernel.entries.shape}, worst column deficit "
-      f"{kernel.column_deficits.max():.2e}")
+print(f"  {kernel.entries.shape[0]} rows of |x| x {kernel.entries.shape[1]} columns, "
+      f"worst column deficit {kernel.column_deficits.max():.2e}")
 print(f"  column sums: {sums[:4]} ...")
 
 # Columns whose density leaks past the grid edge are refused by default;

@@ -20,9 +20,9 @@ routes in ``tests/reference_routes.py``.  :func:`fock_wavefunctions` is the
 one psi recurrence here; the densities, the bin integrals and the phase
 densities of :mod:`emtomo.homodyne` all evaluate it.
 
-A :class:`KernelMatrix` collects per-bin integrals A[nu][n] of A_n over a
-uniform :class:`BinGrid`; these are the response matrices consumed by the
-expectation-maximization reconstruction.  Their bin integrals are exact
+A :class:`KernelMatrix` collects integrals A[nu][n] of A_n over the bins of
+|x| of a symmetric :class:`BinGrid` (A_n is even): the response matrices of
+the expectation-maximization reconstruction.  Its bin integrals are exact
 differences of an erfc-based upper-tail recurrence; no quadrature is involved.
 """
 

@@ -174,8 +174,10 @@ def test_bin_indices_clamp_to_last_bin_and_send_nan_out():
 def test_kernel_closed_form_matches_quadrature(x_max, bins, n_max):
     grid = BinGrid(-x_max, x_max, bins)
     kernel = build_kernel_matrix(grid, n_max, 0.9, max_column_deficit=None)
-    reference = gauss_legendre_bin_integrals(grid.edges[bins // 2:], n_max, 0.9)
-    assert np.max(np.abs(kernel.entries - reference)) < 1e-11
+    reference = gauss_legendre_bin_integrals(grid.edges, n_max, 0.9)
+    assert np.max(np.abs(kernel.entries - reference[bins // 2:])) < 1e-11
+    # the rows of |x| stand for all bins: the deficits count each lower bin once
+    assert np.max(np.abs(kernel.column_deficits - (1.0 - reference.sum(axis=0)))) < 1e-10
     assert np.all(kernel.entries >= 0.0)
 
 
