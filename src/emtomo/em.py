@@ -142,27 +142,47 @@ def _log_likelihood(a_act: np.ndarray, p_act: np.ndarray, rho: np.ndarray) -> fl
 
 
 def _em_iterate(a_act: np.ndarray, p_act: np.ndarray, rho: np.ndarray,
-                model: np.ndarray, grad: np.ndarray) -> float:
-    """Advance ``rho`` by one EM update in place; return its sum before renormalizing.
+                model: np.ndarray, grad: np.ndarray, count: int = 1) -> float:
+    """Advance ``rho`` by ``count`` EM updates in place; return the worst |1 - sum|.
 
-    ``a_act`` and ``p_act`` hold the kernel rows and frequencies of the bins
-    with counts; ``model`` (one entry per such bin) and ``grad`` (one per
-    photon level) are scratch buffers the caller reuses across iterations.
-    Entries that fall below the smallest normal float are flushed to zero
-    (see the module docstring for when that is exact).
+    ``a_act`` and ``p_act`` hold the kernel rows (column-major, so both
+    products stream contiguous columns) and frequencies of the bins with
+    counts; ``model`` (one entry per such bin, left holding the last model)
+    and ``grad`` (one per photon level) are scratch buffers the caller
+    reuses.  The sum is taken before renormalizing, and entries that fall
+    below the smallest normal float are flushed to zero (see the module
+    docstring for when that is exact).  With finite nonnegative rows, what
+    :class:`KernelMatrix` admits, a zero or NaN model value makes the sum
+    inf or NaN, so testing the sum also tests the model.
     """
-    np.dot(a_act, rho, out=model)
-    # with no bins at all the update annihilates rho; the sum check reports it
+    a_t = a_act.T
+    ratio = np.empty_like(model)
+    small = np.empty(rho.shape, dtype=bool)
+    sums = np.empty(count)
+    # a failing update warns on its way to the sum test, which reports it
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(count):
+            np.dot(a_act, rho, out=model)
+            np.divide(p_act, model, out=ratio)
+            np.dot(a_t, ratio, out=grad)
+            rho *= grad
+            s = float(np.add.reduce(rho))  # rho.sum() without its Python wrapper
+            if not 0.0 < s < math.inf:
+                _raise_failed_update(model, s)
+            rho /= s
+            np.less(rho, _TINY, out=small)
+            np.putmask(rho, small, 0.0)
+            sums[k] = s
+    return float(np.max(np.abs(1.0 - sums), initial=0.0))
+
+
+def _raise_failed_update(model: np.ndarray, s: float) -> None:
+    """Raise for an update whose sum left (0, inf): an infinite sum (p / model
+    overflowed) or a zero or NaN model vanishes, any other sum annihilated rho."""
+    if s == math.inf:
+        raise ModelZeroError("model density vanishes on a bin with observed counts")
     _check_model(model)
-    np.divide(p_act, model, out=model)
-    np.dot(a_act.T, model, out=grad)
-    rho *= grad
-    s = rho.sum()
-    if not s > 0:
-        raise ModelZeroError("update annihilated the distribution")
-    rho /= s
-    rho[rho < _TINY] = 0.0
-    return float(s)
+    raise ModelZeroError("update annihilated the distribution")
 
 
 def reconstruct_photon_distribution(
@@ -209,7 +229,7 @@ def reconstruct_photon_distribution(
         raise EmptyHistogramError("histogram holds no counts")
     p = hist.counts / hist.total
     active = p > 0
-    a_act = np.ascontiguousarray(kernel.entries[active])
+    a_act = np.asfortranarray(kernel.entries[active])
     p_act = p[active]
     dim = kernel.n_max + 1
     rho = np.full(dim, 1.0 / dim)
@@ -221,14 +241,12 @@ def reconstruct_photon_distribution(
     model = np.empty(p_act.size)
     grad = np.empty(dim)
     while it < max_iter:
-        it += 1
-        s = _em_iterate(a_act, p_act, rho, model, grad)
-        worst_renorm = max(worst_renorm, abs(1.0 - s))
-        at_window = it % PLATEAU_WINDOW == 0
-        if not (at_window or it == max_iter):
-            continue
+        count = min(PLATEAU_WINDOW, max_iter - it)
+        worst_renorm = max(worst_renorm, _em_iterate(a_act, p_act, rho, model, grad, count))
+        it += count
         trace_its.append(it)
         trace_ll.append(_log_likelihood(a_act, p_act, rho))
+        at_window = it % PLATEAU_WINDOW == 0
         if at_window and plateau_tol is not None and trace_ll[-1] - trace_ll[-2] < plateau_tol:
             stop_reason = "plateau"
             break

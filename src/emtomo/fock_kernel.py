@@ -197,12 +197,12 @@ class BinGrid:
         outside samples go to one spill bin past the grid, so a single
         bincount yields both results before the lower bins fold onto theirs.
         """
-        outside = ~((buf >= self.x_min) & (buf <= self.x_max))
+        outside = ~(np.abs(buf) <= self.x_max)  # the grid is symmetric; NaN is outside
         buf -= self.x_min
         buf /= self.width
         # In range buf >= 0, so the integer cast below truncates like floor.
         np.minimum(buf, self.bin_count - 1, out=buf)
-        buf[outside] = self.bin_count
+        np.copyto(buf, self.bin_count, where=outside)
         counts = np.bincount(buf.astype(np.int64), minlength=self.bin_count + 1)
         half = self.bin_count // 2
         counts[half + self.bin_count % 2:-1] += counts[:half][::-1]
@@ -215,6 +215,8 @@ class KernelMatrix:
 
     ``entries`` holds the rows of bins bin_count//2 up, unscaled: a bin of |x|
     has twice its row's probability (once for an odd grid's middle row).
+    Entries must be finite and nonnegative; the EM iterate relies on it to
+    detect a vanishing model from its sum alone.
     """
 
     grid: BinGrid
@@ -229,6 +231,8 @@ class KernelMatrix:
             raise ValidationError(
                 f"kernel entries shape {self.entries.shape} != {expected}"
             )
+        if not np.all((self.entries >= 0.0) & (self.entries < np.inf)):
+            raise ValidationError("kernel entries must be finite and nonnegative")
         middle = self.entries[0] if self.grid.bin_count % 2 else 0.0
         object.__setattr__(self, "column_deficits", 1.0 - (2.0 * self.entries.sum(axis=0) - middle))
 
@@ -251,6 +255,9 @@ def _ideal_bin_integrals(grid: BinGrid, n_max: int) -> np.ndarray:
     out = tails[:, :-1] - tails[:, 1:]
     if grid.bin_count % 2:
         out[:, 0] = 1.0 - tails[:, 0] - tails[:, 1]
+    # a bin whose integral is below the rounding of G can come out negative
+    # (seen with bins 1e-5 wide); every true integral is nonnegative
+    np.maximum(out, 0.0, out=out)
     return out.T
 
 
@@ -376,9 +383,10 @@ def load_kernel(path: str) -> KernelMatrix:
             f"{path}: expected {8 * grid.rows * (n_max + 1)} bytes of entries, found {len(raw)}"
         )
     entries = np.frombuffer(raw, dtype="<f8").reshape(grid.rows, n_max + 1).astype(float)
-    if not np.all(np.isfinite(entries)):
-        raise FileFormatError(f"{path}: kernel entries contain non-finite values")
-    return KernelMatrix(grid=grid, n_max=int(n_max), eta=float(eta), entries=entries)
+    try:
+        return KernelMatrix(grid=grid, n_max=int(n_max), eta=float(eta), entries=entries)
+    except ValidationError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def load_or_build_kernel(

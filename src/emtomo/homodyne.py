@@ -20,7 +20,6 @@ import struct
 import warnings
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 from scipy.special import gammaln
@@ -54,6 +53,8 @@ _TEXT_LINES_PER_WRITE = 65536
 # The ASCII separators, which numpy strips from a number and float() keeps
 # unless the number holds a non-ASCII character.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
+# Path suffixes np.loadtxt decompresses (through numpy's DataSource).
+_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # Samples the shifted histogram and the binary reader handle per slice.
 _SLICE = 1 << 16
 
@@ -457,9 +458,15 @@ def _read_text_in_bulk(fh):
 
     Returns None when the lines after the header block are not all
     ``theta,x`` pairs that ``np.loadtxt`` reads, so the per-line loop must
-    decide.  The samples are parsed straight from ``fh`` into one (n, 2)
-    array, preallocated from the file's line count so that it never grows.
+    decide.  The samples are parsed from the path of ``fh``, which numpy
+    reads in large chunks (an open file it would read line by line), into
+    one (n, 2) array, preallocated from the file's line count so that it
+    never grows.  numpy decodes the path as strict UTF-8, so a file with an
+    undecodable byte goes to the per-line loop too.
     """
+    path = os.fsdecode(fh.name)
+    if "://" in path or path.endswith(_DECOMPRESSED_SUFFIXES):
+        return None  # numpy would fetch or decompress it
     rows = 1
     for chunk in iter(partial(fh.read, 1 << 16), ""):
         if any(sep in chunk for sep in _SEPARATORS):
@@ -467,7 +474,7 @@ def _read_text_in_bulk(fh):
         rows += chunk.count("\n")
     fh.seek(0)
     header: dict[str, str] = {}
-    for line in fh:
+    for skip, line in enumerate(fh):
         if not _header_line(line.strip(), header):
             break
     else:
@@ -476,9 +483,9 @@ def _read_text_in_bulk(fh):
         # numpy notes that a blank line (skipped by both readers) is no row
         warnings.simplefilter("ignore", UserWarning)
         try:
-            pairs = np.loadtxt(chain([line], fh), delimiter=",", comments=None, ndmin=2,
-                               max_rows=rows)
-        except ValueError:
+            pairs = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=2,
+                               max_rows=rows, encoding="utf-8")
+        except ValueError:  # UnicodeDecodeError included
             return None
     # Fewer rows than lines shows the parse reached the end of the file.
     if pairs.shape[1] != 2 or len(pairs) >= rows:

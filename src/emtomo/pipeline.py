@@ -295,24 +295,31 @@ _GRID_MAGIC_LINE = "# emtomo wigner grid v1"
 _GRID_COLUMNS = "q p w iterations final_loglik overflow_fraction rho_tail"
 
 
+def _refuse_line_break(what: str, line: str) -> None:
+    if "\n" in line or "\r" in line:
+        raise ValidationError(f"{what} cannot hold a line break: {line!r}")
+
+
 def save_wigner_grid(path: str, grid: WignerGrid) -> None:
     """Write a grid as a plain-text table.
 
     Output is deterministic for identical inputs except the timestamp, which
-    stays confined to its own comment line.  A meta key or value holding a
-    line break is refused, and nothing is written: it would reload as other
-    lines.
+    stays confined to its own comment line.  A meta entry or failure note
+    holding a line break, or a meta key holding "=", is refused, and nothing
+    is written: it would reload as other lines or as another key.
     """
     lines = [_GRID_MAGIC_LINE]
     lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
     for key in sorted(grid.meta):
+        if "=" in str(key):
+            raise ValidationError(f"a grid meta key cannot hold '=': {key!r}")
         lines.append(f"# meta {key}={grid.meta[key]}")
-        if "\n" in lines[-1] or "\r" in lines[-1]:
-            raise ValidationError(f"a grid meta entry cannot hold a line break: {lines[-1]!r}")
+        _refuse_line_break("a grid meta entry", lines[-1])
     lines.append(f"# q_steps: {grid.qs.size}")
     lines.append(f"# p_steps: {grid.ps.size}")
     for (i, j), message in sorted(grid.failures.items()):
         lines.append(f"# failed {i} {j} {message}")
+        _refuse_line_break("a grid failure note", lines[-1])
     lines.append(f"# columns: {_GRID_COLUMNS}")
     for i, qv in enumerate(grid.qs):
         for j, pv in enumerate(grid.ps):

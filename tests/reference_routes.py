@@ -192,12 +192,15 @@ def em_unflushed(counts: np.ndarray, entries: np.ndarray, max_iter: int,
     into subnormal floats are left in place rather than flushed to zero.
     Bins are used as given; nothing is folded.  With ``plateau_tol`` the
     loop stops at the first multiple of 100 iterations whose log-likelihood
-    gain over the last 100 falls below it.  It calls nothing in
-    ``emtomo.em``.
+    gain over the last 100 falls below it.  The rows keep the layout of
+    ``entries`` (row- or column-major), which fixes the summation order of
+    both products.  It calls nothing in ``emtomo.em``.
     """
     p = counts / counts.sum()
     active = p > 0
-    a_act = np.ascontiguousarray(entries[active])
+    a_act = entries[active]
+    if np.isfortran(entries):
+        a_act = np.asfortranarray(a_act)
     p_act = p[active]
     dim = entries.shape[1]
     rho = np.full(dim, 1.0 / dim)

@@ -55,8 +55,8 @@ def cat_kernel():
 @pytest.mark.parametrize("q, p", CRITERION_5_POINTS)
 def test_flushed_em_matches_unflushed_loop_bitwise(cat_record, cat_kernel, q, p):
     hist = shift_and_histogram(cat_record, q, p, cat_kernel.grid)
-    # both loops run on the bins of |x|, so the flush is all that differs
-    rho, loglik, _ = em_unflushed(hist.counts, cat_kernel.entries, 2_000)
+    # both loops run on the column-major rows of |x|, so the flush is all that differs
+    rho, loglik, _ = em_unflushed(hist.counts, np.asfortranarray(cat_kernel.entries), 2_000)
     # the unflushed loop does reach subnormal entries at these points
     assert np.any((rho > 0.0) & (rho < TINY))
     dist, _diag = reconstruct_photon_distribution(hist, cat_kernel, max_iter=2_000)

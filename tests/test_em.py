@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from emtomo import (
     BinGrid,
     EmptyHistogramError,
     Histogram,
+    KernelMatrix,
     ModelZeroError,
     PhotonDistribution,
     ValidationError,
@@ -122,7 +124,7 @@ def test_model_zero_detection():
     rho = np.array([0.5, 0.5])
     with pytest.raises(ModelZeroError):
         log_likelihood(p, a, rho)
-    with pytest.raises(ModelZeroError):
+    with pytest.raises(ModelZeroError, match="model density vanishes"):
         em_step(p, a, rho)
 
 
@@ -172,11 +174,39 @@ def test_em_step_flushes_subnormal_entries_and_rejects_nan_model():
     assert out[3] == 0.0
     assert np.all(out[np.arange(7) != 3] > 0.0)
     rho[3] = np.nan
-    with pytest.raises(ModelZeroError):
+    with pytest.raises(ModelZeroError, match="model density vanishes"):
         em_step(p, a, rho)
     # no bin with counts: nothing supports rho
-    with pytest.raises(ModelZeroError):
+    with pytest.raises(ModelZeroError, match="update annihilated"):
         em_step(np.zeros(30), a, np.full(7, 1.0 / 7))
+
+
+def test_window_of_updates_matches_single_updates_bitwise():
+    rng = np.random.default_rng(15)
+    a, _truth, p = random_instance(rng, 60, 9, noise=0.02)
+    a = np.asfortranarray(a)
+    one, window = np.full(9, 1.0 / 9), np.full(9, 1.0 / 9)
+    one_model, window_model = np.empty(60), np.empty(60)
+    worst = max(_em_iterate(a, p, one, one_model, np.empty(9)) for _ in range(37))
+    assert _em_iterate(a, p, window, window_model, np.empty(9), count=37) == worst
+    assert np.array_equal(window, one)
+    assert np.array_equal(window_model, one_model)
+
+
+# Both kernels pass the initial log-likelihood, so the first update fails.
+@pytest.mark.parametrize("rows, message", [
+    # p / model overflows on the second bin: the sum is inf
+    ([[1.0, 1.0], [1e-310, 1e-310]], "model density vanishes on a bin with observed counts"),
+    # p / model overflows where the other level has no entry: the sum is NaN
+    ([[1.0, 0.0], [0.0, 1e-320]], "update annihilated the distribution"),
+], ids=["vanishing-model", "annihilating-update"])
+def test_failed_update_keeps_its_message(rows, message):
+    grid = BinGrid(-1.0, 1.0, 4)
+    kernel = KernelMatrix(grid=grid, n_max=1, eta=1.0, entries=np.array(rows))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the failing arithmetic warns nowhere
+        with pytest.raises(ModelZeroError, match=message):
+            reconstruct_photon_distribution(Histogram(grid, np.array([1, 1])), kernel, max_iter=50)
 
 
 def test_log_likelihood_rejects_nan_model():

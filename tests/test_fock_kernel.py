@@ -16,6 +16,7 @@ from emtomo import (
     CutoffTooLargeError,
     FileFormatError,
     Histogram,
+    KernelMatrix,
     ValidationError,
     build_kernel_matrix,
     fock_wavefunctions,
@@ -208,6 +209,22 @@ def test_kernel_validation():
         build_kernel_matrix(BinGrid(-5.0, 5.0, 100), 5, 1.2)
 
 
+@pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
+def test_kernel_entries_must_be_finite_and_nonnegative(bad):
+    kernel = build_kernel_matrix(BinGrid(-6.0, 6.0, 60), 3, 0.9)
+    entries = kernel.entries.copy()
+    entries[5, 2] = bad
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        KernelMatrix(grid=kernel.grid, n_max=3, eta=0.9, entries=entries)
+
+
+def test_kernel_build_clamps_bin_integrals_rounded_below_zero():
+    # near the zeros of psi_n a bin of width 1e-6 holds less than the
+    # rounding of the tails it is the difference of, which can go below zero
+    kernel = build_kernel_matrix(BinGrid(-0.01, 0.01, 20_000), 20, 1.0, max_column_deficit=None)
+    assert kernel.entries.min() == 0.0
+
+
 def test_kernel_cache_round_trip(tmp_path):
     path = os.fspath(tmp_path / "kernel.bin")
     grid = BinGrid(-6.0, 6.0, 300)
@@ -280,7 +297,9 @@ def _as_version_1(blob):
     lambda blob: blob[:16] + np.array([np.nan], dtype="<f8").tobytes() + blob[24:],
     lambda blob: blob[:-3],
     _as_version_1,
-], ids=["nan-x-min", "partial-entry", "version-1"])
+    lambda blob: blob[:64] + np.array([-0.5], dtype="<f8").tobytes() + blob[72:],
+    lambda blob: blob[:-8] + np.array([np.nan], dtype="<f8").tobytes(),
+], ids=["nan-x-min", "partial-entry", "version-1", "negative-entry", "nan-entry"])
 def test_corrupt_kernel_cache_is_rebuilt(tmp_path, corrupt):
     path = os.fspath(tmp_path / "kernel.bin")
     grid = BinGrid(-6.0, 6.0, 60)

@@ -343,6 +343,17 @@ def test_record_text_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.xs, rec.xs)
 
 
+@pytest.mark.parametrize("name", ["rec.gz", "rec.txt.bz2", "rec.xz", "rec.lzma"])
+def test_text_record_named_like_a_compressed_file_reads_as_text(tmp_path, name):
+    # np.loadtxt would decompress such a path, so the samples are parsed line by line
+    path = str(tmp_path / name)
+    rec = sample_record()
+    save_record_text(path, rec)
+    back = load_record_text(path)
+    assert np.array_equal(back.thetas, rec.thetas)
+    assert np.array_equal(back.xs, rec.xs)
+
+
 def test_record_text_bytes_match_per_value_formatting(tmp_path, monkeypatch):
     thetas = np.array([0.0, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.1, np.pi])
     xs = np.array([-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5, 1e-300, 2.0**-1022,

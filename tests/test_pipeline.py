@@ -348,6 +348,22 @@ def test_grid_meta_line_break_refused(tmp_path, key, value):
     assert os.listdir(tmp_path) == []
 
 
+def test_grid_failure_note_line_break_refused(tmp_path):
+    grid = oracle_wigner_grid(vacuum_state(), [0.0, 1.0], [0.0], 10)
+    grid.failures[(0, 0)] = "bad\n1 2 3 4 5 6 7"
+    with pytest.raises(ValidationError, match="failure note cannot hold a line break"):
+        save_wigner_grid(str(tmp_path / "g.txt"), grid)
+    assert os.listdir(tmp_path) == []
+
+
+def test_grid_meta_key_with_equals_refused(tmp_path):
+    grid = oracle_wigner_grid(vacuum_state(), [0.0], [0.0], 10)
+    grid.meta["a=b"] = "c"
+    with pytest.raises(ValidationError, match="meta key cannot hold '='"):
+        save_wigner_grid(str(tmp_path / "g.txt"), grid)
+    assert os.listdir(tmp_path) == []
+
+
 class _HalfWrittenFile:
     """Stands in for a file whose first write stores half its data, then fails."""
 
