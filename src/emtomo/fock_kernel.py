@@ -13,10 +13,12 @@ binomial mixture of ideal densities,
 
     A_n(x) = sum_k C(n,k) eta^k (1-eta)^{n-k} psi_k(x)^2,
 
-which is the one form the package computes.  The equivalent
-Gaussian-smearing form (convolving psi_n(x/sqrt(eta))^2 with a normal kernel
-of variance (1-eta)/2) is an arbiter, so it lives with the other independent
-routes in ``tests/reference_routes.py``.  :func:`fock_wavefunctions` is the
+which is the one form the package computes.  Its weights come from one
+matrix built by Pascal's rule, whose subdiagonals also weight the Fock-basis
+loss channel of :mod:`emtomo.homodyne`.  The equivalent Gaussian-smearing
+form (convolving psi_n(x/sqrt(eta))^2 with a normal kernel of variance
+(1-eta)/2) is an arbiter, so it lives with the other independent routes in
+``tests/reference_routes.py``.  :func:`fock_wavefunctions` is the
 one psi recurrence here; the densities, the bin integrals and the phase
 densities of :mod:`emtomo.homodyne` all evaluate it.
 
@@ -108,7 +110,9 @@ def fock_wavefunctions(n_max: int, x) -> np.ndarray:
 def _binomial_mixture_matrix(n_max: int, eta: float) -> np.ndarray:
     """Lower-triangular M with M[n, k] = C(n,k) eta^k (1-eta)^(n-k).
 
-    Built by Pascal's rule, M[n] = (1-eta) M[n-1] + eta shift(M[n-1]), so
+    Rows weight the lossy Fock densities; the k-th subdiagonal, M[m+k, m],
+    weights the loss channel's transfer from level m+k to m.  Built by
+    Pascal's rule, M[n] = (1-eta) M[n-1] + eta shift(M[n-1]), so
     every entry is a sum of nonnegative terms and eta == 1 gives exactly
     the identity.
     """

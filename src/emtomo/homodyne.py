@@ -6,10 +6,12 @@ efficiency eta is
 
     h(x; theta) = sum_{m,n} (L_eta rho)_{mn} e^{i(n-m) theta} psi_m(x) psi_n(x),
 
-where L_eta is the Fock-basis loss channel; equivalently the kernel of
-Gaussian smearing applied to the scaled ideal density.  Sampling draws from
-a tabulated density by inverse transform, with one child random stream per
-phase so records are reproducible and per-phase streams are independent.
+where L_eta is the Fock-basis loss channel, whose binomial weights are the
+ones :mod:`emtomo.fock_kernel` mixes its densities with; equivalently the
+kernel of Gaussian smearing applied to the scaled ideal density.  Sampling
+inverts one tabulated CDF per phase by linear interpolation, with one child
+random stream per phase so records are reproducible and per-phase streams
+are independent.
 """
 
 from __future__ import annotations
@@ -32,7 +34,13 @@ from .errors import (
     TruncationError,
     ValidationError,
 )
-from .fock_kernel import BinGrid, _check_eta, _write_atomically, fock_wavefunctions
+from .fock_kernel import (
+    BinGrid,
+    _binomial_mixture_matrix,
+    _check_eta,
+    _write_atomically,
+    fock_wavefunctions,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -48,14 +56,13 @@ TAB_TAIL_TOL = 1e-9
 TAB_STEP = 1e-3
 # Initial half-range of the sampling density table, before any widening.
 TAB_RANGE = 8.0
-# Sample lines a text record formats into one string per write.
-_TEXT_LINES_PER_WRITE = 65536
 # The ASCII separators, which numpy strips from a number and float() keeps
 # unless the number holds a non-ASCII character.
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # Path suffixes np.loadtxt decompresses (through numpy's DataSource).
 _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# Samples the shifted histogram and the binary reader handle per slice.
+# Samples the shifted histogram, the text writer and the binary reader
+# handle per slice.
 _SLICE = 1 << 16
 
 
@@ -191,20 +198,16 @@ def apply_loss_channel(state: StateSpec, eta: float) -> StateSpec:
     """Fock-basis beam-splitter loss of transmissivity eta.
 
     (L_eta rho)_{mn} = sum_k sqrt(C(m+k,k) C(n+k,k)) eta^{(m+n)/2} (1-eta)^k
-    rho_{m+k, n+k}; trace is preserved to machine precision.
+    rho_{m+k, n+k}; trace is preserved to machine precision.  The weights
+    C(m+k,k) eta^m (1-eta)^k are the k-th subdiagonal of the kernel's
+    binomial mixture matrix, so eta == 1 returns rho exactly.
     """
     eta = _check_eta(eta)
-    if eta == 1.0:
-        return StateSpec(dim=state.dim, rho=state.rho.copy())
     d = state.dim
-    g = gammaln(np.arange(d + 1) + 1.0)
-    log_eta = np.log(eta)
-    log_loss = np.log1p(-eta)
+    mixture = _binomial_mixture_matrix(d - 1, eta)
     out = np.zeros((d, d), dtype=complex)
     for k in range(d):
-        m = np.arange(d - k)
-        # sqrt(C(m+k, k)) eta^(m/2) (1-eta)^(k/2)
-        v = np.exp(0.5 * (g[m + k] - g[m] - g[k]) + 0.5 * m * log_eta + 0.5 * k * log_loss)
+        v = np.sqrt(np.diagonal(mixture, -k))
         out[: d - k, : d - k] += np.outer(v, v) * state.rho[k:, k:]
     return StateSpec(dim=d, rho=out)
 
@@ -217,7 +220,7 @@ def _phase_density(rho: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray
 
 def quadrature_density(state: StateSpec, theta: float, x, eta: float = 1.0):
     """Homodyne outcome density h(x; theta) at efficiency eta."""
-    lossy = state if eta == 1.0 else apply_loss_channel(state, eta)
+    lossy = apply_loss_channel(state, eta)
     xs = np.asarray(x, dtype=float)
     psi = fock_wavefunctions(lossy.dim - 1, xs.ravel())
     h = _phase_density(lossy.rho, theta, psi).reshape(xs.shape)
@@ -254,32 +257,6 @@ class HomodyneRecord:
         return self.xs.size
 
 
-def _tabulated_cdf(dens: np.ndarray, grid: np.ndarray):
-    """Normalized piecewise-linear CDF over the tabulation grid."""
-    dens = np.clip(dens, 0.0, None)
-    dx = grid[1] - grid[0]
-    seg = 0.5 * (dens[:-1] + dens[1:]) * dx
-    cdf = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cdf[-1]
-    return dens / total, cdf / total
-
-
-def _invert_cdf(u: np.ndarray, dens: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Inverse-transform sampling on a piecewise-linear density table."""
-    dx = grid[1] - grid[0]
-    idx = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, grid.size - 2)
-    r = u - cdf[idx]
-    d0 = dens[idx]
-    slope = (dens[idx + 1] - d0) / dx
-    # Within a cell the CDF is quadratic: r = d0 t + slope t^2 / 2.
-    lin = np.abs(slope) < 1e-14
-    safe_d0 = np.where(d0 > 0, d0, 1.0)
-    safe_slope = np.where(lin, 1.0, slope)
-    disc = np.sqrt(np.maximum(d0**2 + 2.0 * slope * r, 0.0))
-    t = np.where(lin, r / safe_d0, (disc - d0) / safe_slope)
-    return grid[idx] + np.clip(t, 0.0, dx)
-
-
 def sample_homodyne(
     state: StateSpec,
     phase_count: int,
@@ -292,11 +269,14 @@ def sample_homodyne(
     """Draw homodyne samples at equally spaced phases in [0, pi).
 
     Per phase, the lossy density is tabulated on [-TAB_RANGE, TAB_RANGE] in
-    steps of ``TAB_STEP`` (widened by half-steps of 1.5x, up to 8 times,
-    while more than 1e-9 of the probability lies outside) and sampled by
-    inverse transform.  Each
-    phase uses its own child of ``numpy.random.SeedSequence(seed)``, so
-    results are reproducible and independent across phases.
+    steps of ``TAB_STEP``, and its trapezoid sums are accumulated into one
+    table of the CDF.  While the table's total leaves more than
+    ``TAB_TAIL_TOL`` of the probability outside, the range is widened by
+    half-steps of 1.5x, up to 8 times.  Samples are drawn by inverse
+    transform: uniform draws scaled to the table's total are mapped back
+    through the table by linear interpolation.  Each phase uses its own
+    child of ``numpy.random.SeedSequence(seed)``, so results are
+    reproducible and independent across phases.
     """
     if phase_count < 1:
         raise ValidationError(f"phase_count must be >= 1, got {phase_count}")
@@ -320,8 +300,10 @@ def sample_homodyne(
         grid, psi = base_grid, base_psi
         radius = TAB_RANGE
         for attempt in range(9):
-            dens = _phase_density(lossy.rho, theta, psi)
-            outside = 1.0 - np.trapezoid(np.clip(dens, 0.0, None), grid)
+            dens = np.clip(_phase_density(lossy.rho, theta, psi), 0.0, None)
+            cells = 0.5 * (dens[:-1] + dens[1:]) * (grid[1] - grid[0])
+            cdf = np.concatenate(([0.0], np.cumsum(cells)))
+            outside = 1.0 - cdf[-1]
             if outside <= TAB_TAIL_TOL:
                 break
             if attempt == 8:
@@ -333,11 +315,9 @@ def sample_homodyne(
             logger.debug("phase %d: widening tabulation range to %.3g", j, radius)
             grid = tab_grid(radius)
             psi = fock_wavefunctions(lossy.dim - 1, grid)
-        dens, cdf = _tabulated_cdf(dens, grid)
-        rng = np.random.default_rng(children[j])
-        u = rng.random(events_per_phase)
-        all_x[j * events_per_phase : (j + 1) * events_per_phase] = _invert_cdf(
-            u, dens, cdf, grid
+        u = np.random.default_rng(children[j]).random(events_per_phase)
+        all_x[j * events_per_phase : (j + 1) * events_per_phase] = np.interp(
+            u * cdf[-1], cdf, grid
         )
     all_thetas = np.repeat(thetas, events_per_phase)
     if source is None:
@@ -407,8 +387,8 @@ def save_record_text(path: str, record: HomodyneRecord) -> None:
     def write(fh):
         fh.write(f"eta={record.eta:.17g}\nseed={record.seed}\n"
                  f"source={record.source}\n".encode())
-        for start in range(0, record.sample_count, _TEXT_LINES_PER_WRITE):
-            stop = start + _TEXT_LINES_PER_WRITE
+        for start in range(0, record.sample_count, _SLICE):
+            stop = start + _SLICE
             pairs = np.column_stack((record.thetas[start:stop], record.xs[start:stop]))
             fh.write(("%.17g,%.17g\n" * len(pairs) % tuple(pairs.ravel().tolist())).encode())
 

@@ -156,9 +156,8 @@ def _check_field_type(name: str, value) -> None:
     # Written so that NaN fails it; an int beyond the float range fails too.
     if kind == "float" and not abs(value) <= _FLOAT_MAX:
         raise ValidationError(f"{name} must be finite, got {value!r}")
-    # a path in a grid file's meta lines, which a line break would split
-    if kind == "str" and ("\n" in value or "\r" in value):
-        raise ValidationError(f"{name} cannot hold a line break, got {value!r}")
+    if kind == "str":  # a path, which a grid file keeps in a meta line
+        _check_line_text(name, value)
 
 
 def _read_config_object(path: str) -> dict:
@@ -196,9 +195,11 @@ class WignerGrid:
         shape = (self.qs.size, self.ps.size)
         for name in ("values", "iterations", "final_loglik", "overflow_fraction",
                      "rho_tail"):
-            arr = np.asarray(getattr(self, name))
+            arr = np.asarray(getattr(self, name),
+                             dtype=np.int64 if name == "iterations" else float)
             if arr.shape != shape:
                 raise ValidationError(f"{name} shape {arr.shape} != {shape}")
+            setattr(self, name, arr)
 
 
 def reconstruct_wigner_grid(
@@ -295,31 +296,37 @@ _GRID_MAGIC_LINE = "# emtomo wigner grid v1"
 _GRID_COLUMNS = "q p w iterations final_loglik overflow_fraction rho_tail"
 
 
-def _refuse_line_break(what: str, line: str) -> None:
-    if "\n" in line or "\r" in line:
-        raise ValidationError(f"{what} cannot hold a line break: {line!r}")
+def _check_line_text(what: str, text: str) -> None:
+    """Refuse text that a grid file's line would not give back: a line break
+    splits the line, and the reader strips outer whitespace."""
+    if "\n" in text or "\r" in text:
+        raise ValidationError(f"{what} cannot hold a line break: {text!r}")
+    if text != text.strip():
+        raise ValidationError(f"{what} cannot start or end with whitespace: {text!r}")
 
 
 def save_wigner_grid(path: str, grid: WignerGrid) -> None:
     """Write a grid as a plain-text table.
 
     Output is deterministic for identical inputs except the timestamp, which
-    stays confined to its own comment line.  A meta entry or failure note
-    holding a line break, or a meta key holding "=", is refused, and nothing
-    is written: it would reload as other lines or as another key.
+    stays confined to its own comment line.  A meta key, meta value or
+    failure note holding a line break or starting or ending with whitespace,
+    or a meta key holding "=", is refused, and nothing is written: it would
+    reload as other lines, as another key or stripped.
     """
     lines = [_GRID_MAGIC_LINE]
     lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
     for key in sorted(grid.meta):
         if "=" in str(key):
             raise ValidationError(f"a grid meta key cannot hold '=': {key!r}")
+        _check_line_text("a grid meta key", str(key))
+        _check_line_text("a grid meta value", str(grid.meta[key]))
         lines.append(f"# meta {key}={grid.meta[key]}")
-        _refuse_line_break("a grid meta entry", lines[-1])
     lines.append(f"# q_steps: {grid.qs.size}")
     lines.append(f"# p_steps: {grid.ps.size}")
     for (i, j), message in sorted(grid.failures.items()):
+        _check_line_text("a grid failure note", str(message))
         lines.append(f"# failed {i} {j} {message}")
-        _refuse_line_break("a grid failure note", lines[-1])
     lines.append(f"# columns: {_GRID_COLUMNS}")
     for i, qv in enumerate(grid.qs):
         for j, pv in enumerate(grid.ps):
@@ -395,7 +402,7 @@ def load_wigner_grid(path: str) -> WignerGrid:
         return data[:, col].reshape(q_steps, p_steps)
     return WignerGrid(
         qs=qs, ps=ps, values=grab(2),
-        iterations=grab(3).astype(np.int64),
+        iterations=grab(3),
         final_loglik=grab(4), overflow_fraction=grab(5), rho_tail=grab(6),
         failures=failures, meta=meta,
     )

@@ -4,8 +4,9 @@ These deliberately avoid the code paths the package uses in production:
 the Wigner function is assembled from the closed-form transform of |m><n|
 rather than displaced photon statistics; displacement matrices come from
 exponentiating the generator on a padded space rather than Laguerre
-polynomials; a lossy Fock density comes from Gaussian smearing rather than
-the binomial mixture; the mass it leaves outside a window comes from
+polynomials; the loss channel's binomial weights come from log-gamma rather
+than Pascal's rule; a lossy Fock density comes from Gaussian smearing rather
+than the binomial mixture; the mass it leaves outside a window comes from
 adaptive quadrature of its tails rather than binned kernels; and its bin
 integrals come from fixed-order Gauss-Legendre quadrature rather than the
 closed-form tail recurrence; and s-ordered quasi-probabilities come from
@@ -128,6 +129,23 @@ def lossy_fock_quadrature_density_convolution(n: int, x, eta: float) -> np.ndarr
     # density of the eta-scaled variable: psi_n(x'/sqrt(eta))^2 / sqrt(eta)
     ideal = _oscillator_wavefunction(n, pts / np.sqrt(eta)) ** 2 / np.sqrt(eta)
     return (CONVOLUTION_TAIL_SIGMAS * sigma) * np.sum(w * gauss * ideal, axis=-1)
+
+
+def loss_channel_by_gammaln(rho: np.ndarray, eta: float) -> np.ndarray:
+    """(L_eta rho)_{mn} with each weight sqrt(C(m+k,k) eta^m (1-eta)^k) from log-gamma.
+
+    It arbitrates ``emtomo.homodyne.apply_loss_channel``, whose weights come
+    from Pascal's rule in ``emtomo.fock_kernel``.
+    """
+    d = rho.shape[0]
+    g = gammaln(np.arange(d + 1) + 1.0)
+    out = np.zeros((d, d), dtype=complex)
+    for k in range(d):
+        m = np.arange(d - k)
+        v = np.exp(0.5 * (g[m + k] - g[m] - g[k]) + 0.5 * m * np.log(eta)
+                   + 0.5 * k * np.log1p(-eta))
+        out[: d - k, : d - k] += np.outer(v, v) * rho[k:, k:]
+    return out
 
 
 def gauss_legendre_bin_integrals(edges, n_max: int, eta: float) -> np.ndarray:

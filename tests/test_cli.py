@@ -374,9 +374,12 @@ def test_config_asymmetric_grid_exits_3(workdir, tmp_path, capsys):
     assert not (tmp_path / "never.txt").exists()
 
 
-# a line break would split the path's meta line in the grid file
-@pytest.mark.parametrize("value", [["a"], 1.5, {"a": 1}, "d/rec\n1 2 3 4 5 6 7.txt", "rec\r.txt"],
-                         ids=["list", "float", "object", "newline", "carriage-return"])
+# a line break would split the path's meta line in the grid file, and the
+# grid reader strips what starts or ends that line
+@pytest.mark.parametrize("value", [["a"], 1.5, {"a": 1}, "d/rec\n1 2 3 4 5 6 7.txt", "rec\r.txt",
+                                   " rec.txt", "rec.txt "],
+                         ids=["list", "float", "object", "newline", "carriage-return",
+                              "leading-blank", "trailing-blank"])
 @pytest.mark.parametrize("field", ["record_path", "output_path", "kernel_cache"])
 def test_config_path_types_checked(workdir, tmp_path, monkeypatch, capsys, field, value):
     # An int or a bool would name a file descriptor of this process, so none is used.

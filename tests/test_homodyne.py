@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erfc
 from scipy.stats import binom, poisson
 
 from emtomo import (
@@ -34,6 +35,8 @@ from emtomo import (
 )
 from emtomo import homodyne
 from emtomo.homodyne import load_record_binary, load_record_text, suggest_dim
+
+from .reference_routes import loss_channel_by_gammaln
 
 
 def random_state(rng, dim):
@@ -146,6 +149,23 @@ def test_loss_composition():
     assert np.max(np.abs(twice.rho - once.rho)) < 1e-12
 
 
+LOSS_STATES = pytest.mark.parametrize(
+    "state", [cat_state(1.5j, np.pi, 26), coherent_state(3.0, 60)], ids=["cat", "coherent"])
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.5, 0.85, 0.9])
+@LOSS_STATES
+def test_loss_matches_gammaln_route(state, eta):
+    lossy = apply_loss_channel(state, eta).rho
+    assert np.max(np.abs(lossy - loss_channel_by_gammaln(state.rho, eta))) <= 1e-15
+
+
+@LOSS_STATES
+def test_loss_at_unit_efficiency_returns_rho(state):
+    # equal entry for entry; a -0.0 of rho may come back as 0.0
+    assert np.array_equal(apply_loss_channel(state, 1.0).rho, state.rho)
+
+
 def test_loss_eta_validation():
     with pytest.raises(ValidationError):
         apply_loss_channel(vacuum_state(), 0.0)
@@ -230,6 +250,16 @@ def test_sampler_histogram_close_to_exact_density():
     exact = build_kernel_matrix(grid, 0, 1.0).entries[:, 0]
     tv = 0.5 * np.sum(np.abs(hist.counts / hist.total - exact / exact.sum()))
     assert tv < 5e-3
+
+
+def test_sampler_cdf_matches_exact_within_bins():
+    # Kolmogorov-Smirnov distance of 200k vacuum samples to 0.5 erfc(-x),
+    # which sees the shape inside any bin; 1.95/sqrt(n) is its 0.1% level
+    n = 200_000
+    xs = np.sort(sample_homodyne(vacuum_state(), 1, n, 1.0, 31).xs)
+    cdf = 0.5 * erfc(-xs)
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert ks < 1.95 / np.sqrt(n)
 
 
 def test_sampler_widens_tabulation_range_when_needed(monkeypatch):
@@ -359,7 +389,7 @@ def test_record_text_bytes_match_per_value_formatting(tmp_path, monkeypatch):
     xs = np.array([-0.0, 5e-324, 1e308, -1e308, 1.0 / 3.0, -2.5, 1e-300, 2.0**-1022,
                    0.1 + 0.2, -7.0])
     rec = HomodyneRecord(eta=0.85, thetas=thetas, xs=xs, seed=2**70, source="a, b")
-    monkeypatch.setattr(homodyne, "_TEXT_LINES_PER_WRITE", 4)  # 4 + 4 + a partial 2
+    monkeypatch.setattr(homodyne, "_SLICE", 4)  # 4 + 4 + a partial 2
     path = tmp_path / "rec.txt"
     save_record_text(str(path), rec)
     expected = "eta=0.84999999999999998\nseed=1180591620717411303424\nsource=a, b\n" + "".join(

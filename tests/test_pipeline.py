@@ -230,6 +230,20 @@ def test_grid_file_round_trip(tmp_path, vacuum_record, vacuum_kernel):
     assert back.meta["n_max"] == "8"
 
 
+def test_grid_built_from_lists_round_trips(tmp_path):
+    grid = WignerGrid(qs=[0.0, 1.0], ps=[0.5], values=[[0.25], [float("nan")]],
+                      iterations=[[7], [0]], final_loglik=[[-1.5], [float("nan")]],
+                      overflow_fraction=[[0.0], [float("nan")]],
+                      rho_tail=[[1e-9], [float("nan")]], failures={(1, 0): "failed"})
+    assert grid.iterations.dtype == np.int64 and grid.values.dtype == float
+    path = str(tmp_path / "grid.txt")
+    save_wigner_grid(path, grid)
+    back = load_wigner_grid(path)
+    for name in ("values", "iterations", "final_loglik", "overflow_fraction", "rho_tail"):
+        assert np.array_equal(getattr(back, name), getattr(grid, name), equal_nan=True)
+    assert back.failures == {(1, 0): "failed"}
+
+
 def test_grid_file_deterministic_apart_from_timestamp(tmp_path, vacuum_record,
                                                       vacuum_kernel):
     cfg = small_config(max_iter=60)
@@ -338,22 +352,33 @@ def test_gnuplot_refuses_a_line_break(tmp_path, monkeypatch, kind, prefix):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("key, value", [("record_path", "d/rec\n1 2 3.txt"), ("a\rb", "x")],
-                         ids=["value", "key"])
-def test_grid_meta_line_break_refused(tmp_path, key, value):
+# the reader would split the line, or strip what starts or ends it
+@pytest.mark.parametrize("key, value, match", [
+    ("record_path", "d/rec\n1 2 3.txt", "line break"),
+    ("a\rb", "x", "line break"),
+    (" a", "b", "key cannot start or end with whitespace"),
+    ("a\t", "b", "key cannot start or end with whitespace"),
+    ("a", "b ", "value cannot start or end with whitespace"),
+    ("a", "\x1cb", "value cannot start or end with whitespace"),
+], ids=["value", "key", "key-leading-blank", "key-trailing-tab", "value-trailing-blank",
+        "value-leading-separator"])
+def test_grid_meta_line_break_refused(tmp_path, key, value, match):
     grid = oracle_wigner_grid(vacuum_state(), [0.0], [0.0], 10)
     grid.meta[key] = value
-    with pytest.raises(ValidationError, match="line break"):
+    with pytest.raises(ValidationError, match=match):
         save_wigner_grid(str(tmp_path / "g.txt"), grid)
     assert os.listdir(tmp_path) == []
 
 
 def test_grid_failure_note_line_break_refused(tmp_path):
-    grid = oracle_wigner_grid(vacuum_state(), [0.0, 1.0], [0.0], 10)
-    grid.failures[(0, 0)] = "bad\n1 2 3 4 5 6 7"
-    with pytest.raises(ValidationError, match="failure note cannot hold a line break"):
-        save_wigner_grid(str(tmp_path / "g.txt"), grid)
-    assert os.listdir(tmp_path) == []
+    for note, match in [("bad\n1 2 3 4 5 6 7", "failure note cannot hold a line break"),
+                        ("note  ", "failure note cannot start or end with whitespace"),
+                        (" note", "failure note cannot start or end with whitespace")]:
+        grid = oracle_wigner_grid(vacuum_state(), [0.0, 1.0], [0.0], 10)
+        grid.failures[(0, 0)] = note
+        with pytest.raises(ValidationError, match=match):
+            save_wigner_grid(str(tmp_path / "g.txt"), grid)
+        assert os.listdir(tmp_path) == []
 
 
 def test_grid_meta_key_with_equals_refused(tmp_path):
