@@ -440,18 +440,23 @@ def _read_text_in_bulk(fh):
     ``theta,x`` pairs that ``np.loadtxt`` reads, so the per-line loop must
     decide.  The samples are parsed from the path of ``fh``, which numpy
     reads in large chunks (an open file it would read line by line), into
-    one (n, 2) array, preallocated from the file's line count so that it
-    never grows.  numpy decodes the path as strict UTF-8, so a file with an
-    undecodable byte goes to the per-line loop too.
+    one (n, 2) array with one row more than the lines after the header: it
+    never grows, a full array shows a parse that stopped early, and numpy
+    trims at most that row, so a freed record's block still fits the next
+    record of its length (a larger trim leaves it too small, and each load
+    then takes fresh memory).  numpy decodes the path as strict UTF-8,
+    so a file with an undecodable byte goes to the per-line loop too.
     """
     path = os.fsdecode(fh.name)
     if "://" in path or path.endswith(_DECOMPRESSED_SUFFIXES):
         return None  # numpy would fetch or decompress it
-    rows = 1
+    lines = 0
+    chunk = "\n"
     for chunk in iter(partial(fh.read, 1 << 16), ""):
         if any(sep in chunk for sep in _SEPARATORS):
             return None
-        rows += chunk.count("\n")
+        lines += chunk.count("\n")
+    lines += not chunk.endswith("\n")  # an unterminated last line
     fh.seek(0)
     header: dict[str, str] = {}
     for skip, line in enumerate(fh):
@@ -459,16 +464,17 @@ def _read_text_in_bulk(fh):
             break
     else:
         return None  # no sample line
+    slots = lines - skip + 1
     with warnings.catch_warnings():
         # numpy notes that a blank line (skipped by both readers) is no row
         warnings.simplefilter("ignore", UserWarning)
         try:
             pairs = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=2,
-                               max_rows=rows, encoding="utf-8")
+                               max_rows=slots, encoding="utf-8")
         except ValueError:  # UnicodeDecodeError included
             return None
-    # Fewer rows than lines shows the parse reached the end of the file.
-    if pairs.shape[1] != 2 or len(pairs) >= rows:
+    # An unfilled last row shows the parse reached the end of the file.
+    if pairs.shape[1] != 2 or len(pairs) >= slots:
         return None
     return header, pairs[:, 0], pairs[:, 1]
 

@@ -614,6 +614,26 @@ def test_text_reader_stays_within_record_size(tmp_path):
     assert peak <= 1.1 * 16 * count
 
 
+@pytest.mark.parametrize("final_newline", [True, False], ids=["terminated", "unterminated"])
+def test_text_reader_sizes_its_array_to_the_samples(tmp_path, monkeypatch, final_newline):
+    # one row of slack: numpy trims at most that row, so a freed record's
+    # block fits the next record of its length
+    path = tmp_path / "rec.txt"
+    save_record_text(str(path), sample_record())
+    if not final_newline:
+        path.write_bytes(path.read_bytes()[:-1])
+    asked = []
+    loadtxt = np.loadtxt
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs["max_rows"])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    back = load_record_text(str(path))
+    assert asked == [back.sample_count + 1]
+
+
 def test_record_validation():
     with pytest.raises(ValidationError):
         HomodyneRecord(eta=0.0, thetas=np.array([0.0]), xs=np.array([1.0]), seed=0)
