@@ -42,7 +42,6 @@ from .homodyne import (
     coherent_state,
     fock_state,
     load_record,
-    make_state,
     quadrature_density,
     sample_homodyne,
     save_record_binary,

@@ -22,11 +22,14 @@ import sys
 from . import __version__
 from .errors import TomographyError, ValidationError
 from .homodyne import (
+    cat_state,
+    coherent_state,
+    fock_state,
     load_record,
-    make_state,
     sample_homodyne,
     save_record_binary,
     save_record_text,
+    vacuum_state,
 )
 from .oracle import oracle_wigner_grid
 from .pipeline import (
@@ -104,20 +107,20 @@ def _add_state_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_state(args: argparse.Namespace):
-    alpha = _parse_complex(args.alpha) if args.alpha is not None else 0j
-    if args.state in ("coherent", "cat") and args.alpha is None:
+    alpha = _parse_complex(args.alpha) if args.alpha is not None else None
+    if args.state in ("coherent", "cat") and alpha is None:
         raise ValidationError(f"--alpha is required for --state {args.state}")
     if args.state == "fock" and args.n is None:
         raise ValidationError("--n is required for --state fock")
     phase = _parse_phase(args.relative_phase)
-    state = make_state(args.state, args.dim, n=args.n, alpha=alpha, relative_phase=phase)
     if args.state == "vacuum":
-        label = "vacuum"
+        state, label = vacuum_state(args.dim), "vacuum"
     elif args.state == "fock":
-        label = f"fock(n={args.n})"
+        state, label = fock_state(args.n, args.dim), f"fock(n={args.n})"
     elif args.state == "coherent":
-        label = f"coherent(alpha={alpha})"
+        state, label = coherent_state(alpha, args.dim), f"coherent(alpha={alpha})"
     else:
+        state = cat_state(alpha, phase, args.dim)
         label = f"cat(alpha={alpha}, relative_phase={phase:g})"
     return state, f"{label} dim={state.dim}"
 
@@ -162,8 +165,6 @@ def _cmd_reconstruct(args: argparse.Namespace) -> int:
     record = load_record(data["record_path"])
     if data.get("eta") is None:
         data["eta"] = record.eta
-    if data.get("n_max") is None and data.get("localization_radius") is None:
-        raise ValidationError("set --n-max or --localization-radius (or via config)")
     config = ReconstructionConfig.from_dict(data)
     if config.output_path is None:
         raise ValidationError("no output file given (--out or config output_path)")

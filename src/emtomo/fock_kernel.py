@@ -308,12 +308,15 @@ def build_kernel_matrix(
 def _check_column_deficits(kernel: KernelMatrix, max_column_deficit: float | None) -> None:
     """Raise :class:`ColumnDeficitError` if a column lost more than allowed.
 
-    Both a freshly built kernel and a cached one pass through here, so a
-    cache written without the guard cannot get round it.  ``None`` skips
-    the check.
+    The one reader of the bound: a built kernel, a cached one and a grid
+    scan's caller's kernel all pass through here, so none gets round the
+    guard.  ``None`` skips the check; a bound not >= 0 (NaN included) is
+    refused with :class:`ValidationError`.
     """
     if max_column_deficit is None:
         return
+    if not max_column_deficit >= 0:  # written so that NaN fails it
+        raise ValidationError(f"max_column_deficit must be >= 0, got {max_column_deficit!r}")
     deficits = kernel.column_deficits
     worst = int(np.argmax(deficits))
     if deficits[worst] > max_column_deficit:

@@ -61,7 +61,7 @@ TAB_RANGE = 8.0
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # Path suffixes np.loadtxt decompresses (through numpy's DataSource).
 _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# Samples the shifted histogram, the text writer and the binary reader
+# Samples the shifted histogram, the record writers and the binary reader
 # handle per slice.
 _SLICE = 1 << 16
 
@@ -74,9 +74,7 @@ class StateSpec:
     rho: np.ndarray
 
     def __post_init__(self):
-        self.dim = int(self.dim)
-        if self.dim < 1:
-            raise ValidationError(f"state dimension must be >= 1, got {self.dim}")
+        self.dim = _check_dim(self.dim)
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (self.dim, self.dim):
             raise ValidationError(
@@ -91,6 +89,14 @@ class StateSpec:
         if np.min(np.linalg.eigvalsh(rho)) < -1e-10:
             raise ValidationError("density matrix has a negative eigenvalue")
         self.rho = rho
+
+
+def _check_dim(dim) -> int:
+    """A state dimension as an int, refused below 1 before any array is built."""
+    dim = int(dim)
+    if dim < 1:
+        raise ValidationError(f"state dimension must be >= 1, got {dim}")
+    return dim
 
 
 def _pure_state(amplitudes: np.ndarray, dim: int) -> StateSpec:
@@ -108,17 +114,14 @@ def _pure_state(amplitudes: np.ndarray, dim: int) -> StateSpec:
     return StateSpec(dim=dim, rho=np.outer(c, c.conj()))
 
 
-def vacuum_state(dim: int = 1) -> StateSpec:
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return StateSpec(dim=dim, rho=rho)
+def vacuum_state(dim: int | None = None) -> StateSpec:
+    return fock_state(0, dim)
 
 
 def fock_state(n: int, dim: int | None = None) -> StateSpec:
     if n < 0:
         raise ValidationError(f"photon number must be >= 0, got {n}")
-    if dim is None:
-        dim = n + 1
+    dim = _check_dim(n + 1 if dim is None else dim)
     if n >= dim:
         raise TruncationError(f"Fock state |{n}> does not fit in dim={dim}")
     rho = np.zeros((dim, dim), dtype=complex)
@@ -137,24 +140,35 @@ def _coherent_amplitudes(alpha: complex, count: int) -> np.ndarray:
     return np.exp(log_mag) * np.exp(1j * ns * np.angle(alpha))
 
 
-def coherent_state(alpha: complex, dim: int) -> StateSpec:
+def _amplitude_dim(alpha: complex, dim: int | None) -> int:
+    """``dim``, by default a truncation whose discarded tail of |alpha> passes the guard."""
+    if dim is None:
+        mean = abs(alpha) ** 2
+        dim = int(np.ceil(mean + 10.0 * np.sqrt(mean + 1.0))) + 1
+    return _check_dim(dim)
+
+
+def coherent_state(alpha: complex, dim: int | None = None) -> StateSpec:
     """Coherent state |alpha> truncated to dim levels.
 
-    dim should be at least |alpha|^2 + 10 sqrt(|alpha|^2 + 1); smaller values
-    trip the truncation guard once the discarded Poisson tail exceeds 1e-10.
+    dim defaults to ceil(|alpha|^2 + 10 sqrt(|alpha|^2 + 1)) + 1; a smaller
+    dim trips the truncation guard once the discarded Poisson tail exceeds 1e-10.
     """
+    alpha = complex(alpha)
+    dim = _amplitude_dim(alpha, dim)
     work = max(2 * dim, dim + 32)
-    return _pure_state(_coherent_amplitudes(complex(alpha), work), dim)
+    return _pure_state(_coherent_amplitudes(alpha, work), dim)
 
 
-def cat_state(alpha: complex, relative_phase: float, dim: int) -> StateSpec:
+def cat_state(alpha: complex, relative_phase: float, dim: int | None = None) -> StateSpec:
     """Superposition |alpha> + e^{i phi} |-alpha>, normalized and truncated.
 
     relative_phase = pi gives the odd cat (only odd photon numbers), 0 the
-    even cat.
+    even cat.  dim defaults as in :func:`coherent_state`.
     """
     alpha = complex(alpha)
     phi = float(relative_phase)
+    dim = _amplitude_dim(alpha, dim)
     work = max(2 * dim, dim + 32)
     plus = _coherent_amplitudes(alpha, work)
     minus = _coherent_amplitudes(-alpha, work)
@@ -164,34 +178,6 @@ def cat_state(alpha: complex, relative_phase: float, dim: int) -> StateSpec:
             "cat amplitudes vanish (alpha=0 with relative_phase=pi has no content)"
         )
     return _pure_state(amps, dim)
-
-
-def suggest_dim(kind: str, *, n: int | None = None, alpha: complex = 0j) -> int:
-    """Truncation that keeps the state tail below the construction guard."""
-    if kind == "vacuum":
-        return 1
-    if kind == "fock":
-        return int(n) + 1
-    mean = abs(alpha) ** 2
-    return int(np.ceil(mean + 10.0 * np.sqrt(mean + 1.0))) + 1
-
-
-def make_state(kind: str, dim: int | None = None, *, n: int | None = None,
-               alpha: complex = 0j, relative_phase: float = 0.0) -> StateSpec:
-    """Dispatch on a state-kind name; used by the command line layer."""
-    if kind == "vacuum":
-        return vacuum_state(dim if dim is not None else 1)
-    if kind == "fock":
-        if n is None:
-            raise ValidationError("fock state needs a photon number n")
-        return fock_state(int(n), dim)
-    if dim is None:
-        dim = suggest_dim(kind, alpha=alpha)
-    if kind == "coherent":
-        return coherent_state(alpha, dim)
-    if kind == "cat":
-        return cat_state(alpha, relative_phase, dim)
-    raise ValidationError(f"unknown state kind {kind!r}")
 
 
 def apply_loss_channel(state: StateSpec, eta: float) -> StateSpec:
@@ -363,6 +349,15 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     return hist
 
 
+def _check_line_text(what: str, text: str) -> None:
+    """Refuse text that a file's line would not give back: a line break
+    splits the line, and the readers strip outer whitespace."""
+    if "\n" in text or "\r" in text:
+        raise ValidationError(f"{what} cannot hold a line break: {text!r}")
+    if text != text.strip():
+        raise ValidationError(f"{what} cannot start or end with whitespace: {text!r}")
+
+
 def _check_source(source: str) -> None:
     """Refuse what a reader would not give back: outer whitespace, which the
     text reader strips from header values, and NUL, which pads the binary
@@ -380,9 +375,8 @@ def save_record_text(path: str, record: HomodyneRecord) -> None:
     write leaves any previous record intact.  A ``source`` holding a line
     break is refused: it would reload as other headers or samples.
     """
-    if "\n" in record.source or "\r" in record.source:
-        raise ValidationError(f"a text record's source cannot hold a line break: {record.source!r}")
     _check_source(record.source)
+    _check_line_text("a text record's source", record.source)
 
     def write(fh):
         fh.write(f"eta={record.eta:.17g}\nseed={record.seed}\n"
@@ -516,8 +510,9 @@ def save_record_binary(path: str, record: HomodyneRecord) -> None:
     """Binary record: 104-byte header then little-endian (theta, x) pairs.
 
     Streamed to a temporary file that is renamed over ``path``, so a failed
-    write leaves any previous record intact.  The header keeps at most 64
-    UTF-8 bytes of ``source``, cut on a character boundary.
+    write leaves any previous record intact, a slice of ``_SLICE`` pairs at a
+    time, so no copy of the whole record is made.  The header keeps at most
+    64 UTF-8 bytes of ``source``, cut on a character boundary.
     """
     if not -(1 << 63) <= record.seed < 1 << 63:
         raise ValidationError(f"seed {record.seed} does not fit a binary record's int64")
@@ -527,13 +522,13 @@ def save_record_binary(path: str, record: HomodyneRecord) -> None:
         _RECORD_MAGIC, _RECORD_VERSION, 0, record.eta, record.seed,
         record.sample_count, source,
     )
-    pairs = np.empty((record.sample_count, 2), dtype="<f8")
-    pairs[:, 0] = record.thetas
-    pairs[:, 1] = record.xs
 
     def write(fh):
         fh.write(header)
-        fh.write(pairs)
+        for start in range(0, record.sample_count, _SLICE):
+            stop = start + _SLICE
+            pairs = np.column_stack((record.thetas[start:stop], record.xs[start:stop]))
+            fh.write(pairs.astype("<f8", copy=False))
 
     _write_atomically(path, write)
 

@@ -36,11 +36,12 @@ from .fock_kernel import (
     DEFAULT_MAX_COLUMN_DEFICIT,
     BinGrid,
     KernelMatrix,
+    _check_column_deficits,
     _check_eta,
     _write_atomically,
     load_or_build_kernel,
 )
-from .homodyne import HomodyneRecord, shift_and_histogram
+from .homodyne import HomodyneRecord, _check_line_text, shift_and_histogram
 
 logger = logging.getLogger(__name__)
 
@@ -214,10 +215,10 @@ def reconstruct_wigner_grid(
     ``MAX_OVERFLOW_FRACTION`` of it off the bin grid, runs EM and takes the
     parity sum.  The kernel is built (or loaded from ``config.kernel_cache``)
     once; a caller's ``kernel`` must have the config's bin grid, cutoff and
-    eta.  Per-point numerical failures (overflow, empty histogram, a
-    vanishing model) are recorded in ``failures`` and leave NaN in every
-    float column and 0 in ``iterations``; they do not abort the scan unless
-    every point fails.
+    eta, and pass its ``max_column_deficit``.  Per-point numerical failures
+    (overflow, empty histogram, a vanishing model) are recorded in
+    ``failures`` and leave NaN in every float column and 0 in
+    ``iterations``; they do not abort the scan unless every point fails.
     """
     if abs(config.eta - record.eta) > 1e-12:
         raise ValidationError(
@@ -235,6 +236,8 @@ def reconstruct_wigner_grid(
             f"kernel ({kernel.grid}, n_max={kernel.n_max}, eta={kernel.eta!r}) does not "
             f"match the config ({config.bin_grid()}, n_max={n_max}, eta={config.eta!r})"
         )
+    else:
+        _check_column_deficits(kernel, config.max_column_deficit)
     qs = config.q_axis()
     ps = config.p_axis()
     shape = (qs.size, ps.size)
@@ -296,15 +299,6 @@ _GRID_MAGIC_LINE = "# emtomo wigner grid v1"
 _GRID_COLUMNS = "q p w iterations final_loglik overflow_fraction rho_tail"
 
 
-def _check_line_text(what: str, text: str) -> None:
-    """Refuse text that a grid file's line would not give back: a line break
-    splits the line, and the reader strips outer whitespace."""
-    if "\n" in text or "\r" in text:
-        raise ValidationError(f"{what} cannot hold a line break: {text!r}")
-    if text != text.strip():
-        raise ValidationError(f"{what} cannot start or end with whitespace: {text!r}")
-
-
 def save_wigner_grid(path: str, grid: WignerGrid) -> None:
     """Write a grid as a plain-text table.
 
@@ -344,6 +338,7 @@ def load_wigner_grid(path: str) -> WignerGrid:
     meta: dict = {}
     failures: dict = {}
     q_steps = p_steps = None
+    noted: list[tuple[int, int, int]] = []  # (line, i, j) of each failure note
     rows: list[list[float]] = []
     # Undecodable bytes become U+FFFD, so they fail to parse as numbers
     # instead of raising UnicodeDecodeError.
@@ -364,11 +359,13 @@ def load_wigner_grid(path: str) -> WignerGrid:
                     q_steps = _header_int(path, lineno, body.split(":", 1)[1])
                 elif body.startswith("p_steps:"):
                     p_steps = _header_int(path, lineno, body.split(":", 1)[1])
-                elif body.startswith("failed "):
+                elif body.split(" ", 1)[0] == "failed":
                     parts = body.split(" ", 3)
-                    if len(parts) >= 3:
-                        i, j = (_header_int(path, lineno, v) for v in parts[1:3])
-                        failures[(i, j)] = parts[3] if len(parts) > 3 else ""
+                    if len(parts) < 3:
+                        raise FileFormatError(f"{path}:{lineno}: no grid point in {line!r}")
+                    i, j = (_header_int(path, lineno, v) for v in parts[1:3])
+                    failures[(i, j)] = parts[3] if len(parts) > 3 else ""
+                    noted.append((lineno, i, j))
                 continue
             parts = line.split()
             if len(parts) != 7:
@@ -383,6 +380,10 @@ def load_wigner_grid(path: str) -> WignerGrid:
         raise FileFormatError(f"{path}: missing q_steps/p_steps headers")
     if q_steps < 1 or p_steps < 1:
         raise FileFormatError(f"{path}: q_steps and p_steps must be >= 1")
+    for lineno, i, j in noted:
+        if not (0 <= i < q_steps and 0 <= j < p_steps):
+            raise FileFormatError(f"{path}:{lineno}: failure note for point ({i}, {j}) "
+                                  f"outside the {q_steps}x{p_steps} grid")
     if len(rows) != q_steps * p_steps:
         raise FileFormatError(
             f"{path}: expected {q_steps * p_steps} rows, found {len(rows)}"

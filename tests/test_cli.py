@@ -145,6 +145,9 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--state", "vacuum"])  # missing required flags
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--state", "squeezed", "--n-max", "4", "--out", "never.txt"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -174,6 +177,12 @@ def test_config_errors_exit_3(workdir, tmp_path, capsys):
     assert main(argv) == 3  # no cutoff source
 
     assert main(recon_args(workdir, out="never.txt", eta=0.9)) == 3  # eta mismatch
+    # a bound that no column passes is a config mistake, not a guard failure
+    capsys.readouterr()
+    assert main(recon_args(workdir, out="never.txt", max_column_deficit=-1)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: config: max_column_deficit must be >= 0, got -1.0"]
+    assert not (workdir / "never.txt").exists()
 
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
@@ -292,6 +301,64 @@ def test_oracle_flag_errors_exit_3(tmp_path, capsys, flags):
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: config:")
+    assert not out.exists()
+
+
+_KINDS = {
+    "vacuum": ["--state", "vacuum"],
+    "fock": ["--state", "fock", "--n", "2"],
+    "coherent": ["--state", "coherent", "--alpha", "0.5+0.25j"],
+    "cat": ["--state", "cat", "--alpha", "1.5j", "--relative-phase", "pi"],
+}
+_ORIGIN = ["--n-max", "40", "--q-min", "0", "--q-max", "0", "--q-steps", "1",
+           "--p-min", "0", "--p-max", "0", "--p-steps", "1"]
+
+
+def _state_run(command, flags, out):
+    if command == "simulate":
+        return ["simulate", *flags, "--phases", "2", "--events", "50", "--eta", "0.9",
+                "--out", str(out)]
+    return ["oracle", *flags, *_ORIGIN, "--out", str(out)]
+
+
+@pytest.mark.parametrize("kind, dim, label", [
+    ("vacuum", None, "vacuum dim=1"),
+    ("vacuum", "3", "vacuum dim=3"),
+    ("fock", None, "fock(n=2) dim=3"),
+    ("fock", "5", "fock(n=2) dim=5"),
+    ("coherent", None, "coherent(alpha=(0.5+0.25j)) dim=13"),
+    ("coherent", "20", "coherent(alpha=(0.5+0.25j)) dim=20"),
+    ("cat", None, "cat(alpha=1.5j, relative_phase=3.14159) dim=22"),
+    ("cat", "26", "cat(alpha=1.5j, relative_phase=3.14159) dim=26"),
+])
+def test_state_flags_give_the_source_label(tmp_path, capsys, kind, dim, label):
+    flags = _KINDS[kind] + ([] if dim is None else ["--dim", dim])
+    rec, grid = tmp_path / "rec.txt", tmp_path / "grid.txt"
+    assert main(_state_run("simulate", flags, rec)) == 0
+    assert f" for {label} to " in capsys.readouterr().out
+    assert load_record(str(rec)).source == label
+    assert main(_state_run("oracle", flags, grid)) == 0
+    assert f" for {label} (n_max=40) " in capsys.readouterr().out
+    assert load_wigner_grid(str(grid)).meta["source"] == label
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("flags", [
+    *(_KINDS[kind] + ["--dim", dim] for kind in _KINDS for dim in ("0", "-1")),
+    ["--state", "fock"],
+    ["--state", "coherent"],
+    ["--state", "cat", "--relative-phase", "pi"],
+    ["--state", "vacuum", "--alpha", "spam"],
+    ["--state", "vacuum", "--relative-phase", "spam"],
+], ids=[*(f"{kind}-dim{dim}" for kind in _KINDS for dim in ("0", "-1")), "fock-no-n",
+        "coherent-no-alpha", "cat-no-alpha", "vacuum-bad-alpha", "vacuum-bad-phase"])
+def test_state_flag_errors_exit_3(tmp_path, capsys, command, flags):
+    out = tmp_path / "out.txt"
+    assert main(_state_run(command, flags, out)) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:")
+    if "--dim" in flags:
+        assert err[0].startswith("error: config: state dimension must be >= 1")
     assert not out.exists()
 
 
@@ -455,9 +522,12 @@ def _drop_rows(text):
 @pytest.mark.parametrize("edit", [
     lambda t: t.replace("# q_steps: 2", "# q_steps: abc"),
     lambda t: t.replace("# columns:", "# failed x y boom\n# columns:"),
+    lambda t: t.replace("# columns:", "# failed 2\n# columns:"),
+    lambda t: t.replace("# columns:", "# failed 7 9 bogus\n# columns:"),
     lambda t: _drop_rows(t.replace("# q_steps: 2", "# q_steps: 0")),
     lambda t: _drop_rows(t.replace("# p_steps: 2", "# p_steps: 0")),
-], ids=["q_steps-not-int", "failed-not-int", "q_steps-zero", "p_steps-zero"])
+], ids=["q_steps-not-int", "failed-not-int", "failed-one-index", "failed-off-grid",
+        "q_steps-zero", "p_steps-zero"])
 def test_malformed_grid_header_is_a_format_error(tmp_path, capsys, edit):
     exact = tmp_path / "exact.txt"
     assert main([

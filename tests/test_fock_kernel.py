@@ -188,6 +188,10 @@ def test_kernel_column_deficit_guard():
         build_kernel_matrix(grid, 30, 0.9)
     kernel = build_kernel_matrix(grid, 30, 0.9, max_column_deficit=None)
     assert kernel.column_deficits[30] > 0.5
+    # a NaN bound would pass every column, a negative one none
+    for bound in (float("nan"), -1.0):
+        with pytest.raises(ValidationError, match="max_column_deficit must be >= 0"):
+            build_kernel_matrix(grid, 30, 0.9, max_column_deficit=bound)
 
 
 def test_kernel_clipped_range_deficits_pinned():

@@ -25,7 +25,6 @@ from emtomo import (
     fock_state,
     load_record,
     lossy_fock_quadrature_density,
-    make_state,
     quadrature_density,
     sample_homodyne,
     save_record_binary,
@@ -34,7 +33,7 @@ from emtomo import (
     vacuum_state,
 )
 from emtomo import homodyne
-from emtomo.homodyne import load_record_binary, load_record_text, suggest_dim
+from emtomo.homodyne import load_record_binary, load_record_text
 
 from .reference_routes import loss_channel_by_gammaln
 
@@ -62,10 +61,9 @@ def test_coherent_state_poisson_diagonal():
 def test_coherent_state_truncation_guard():
     with pytest.raises(TruncationError):
         coherent_state(2.0, 6)
-    for alpha in (0.5, 1.0, 2.0, 3.0j):
-        dim = suggest_dim("coherent", alpha=alpha)
-        st = coherent_state(alpha, dim)
-        assert st.dim == dim
+    # the default dim, ceil(|alpha|^2 + 10 sqrt(|alpha|^2 + 1)) + 1, passes the guard
+    for alpha, dim in ((0.5, 13), (1.0, 17), (2.0, 28), (3.0j, 42)):
+        assert coherent_state(alpha).dim == dim
 
 
 def test_fock_and_vacuum_states():
@@ -75,6 +73,17 @@ def test_fock_and_vacuum_states():
     with pytest.raises(TruncationError):
         fock_state(5, 4)
     assert np.real(np.diag(vacuum_state().rho))[0] == 1.0
+    assert vacuum_state().dim == 1 and vacuum_state(4).dim == 4
+
+
+@pytest.mark.parametrize("make", [
+    vacuum_state, lambda dim: fock_state(0, dim), lambda dim: coherent_state(1.0, dim),
+    lambda dim: cat_state(1.5j, np.pi, dim),
+], ids=["vacuum", "fock", "coherent", "cat"])
+@pytest.mark.parametrize("dim", [0, -1])
+def test_state_dimension_below_one_refused(make, dim):
+    with pytest.raises(ValidationError, match=f"^state dimension must be >= 1, got {dim}$"):
+        make(dim)
 
 
 def test_odd_cat_occupies_only_odd_levels():
@@ -89,18 +98,6 @@ def test_odd_cat_occupies_only_odd_levels():
 def test_cat_zero_amplitude_rejected():
     with pytest.raises(ValidationError):
         cat_state(0.0, np.pi, 8)
-
-
-def test_make_state_dispatch():
-    assert make_state("vacuum").dim == 1
-    assert make_state("fock", n=4).dim == 5
-    assert make_state("coherent", alpha=1.0).dim == suggest_dim("coherent", alpha=1.0)
-    cat = make_state("cat", 26, alpha=1.5j, relative_phase=np.pi)
-    assert cat.dim == 26
-    with pytest.raises(ValidationError):
-        make_state("squeezed")
-    with pytest.raises(ValidationError):
-        make_state("fock")
 
 
 def test_state_spec_validation():
@@ -599,6 +596,19 @@ def test_reader_and_histogram_stay_within_record_size(tmp_path):
     hist, peak = _traced_peak(shift_and_histogram, back, 0.4, -0.2, BinGrid(-8.0, 8.0, 16_000))
     assert hist.total + hist.overflow == count
     assert peak <= 4e6
+
+
+def test_binary_writer_holds_no_copy_of_the_record(tmp_path):
+    count = 1_000_000
+    rng = np.random.default_rng(7)
+    rec = HomodyneRecord(eta=0.85, thetas=np.repeat(np.pi * np.arange(10) / 10, count // 10),
+                         xs=rng.normal(0.0, 1.3, count), seed=3)
+    path = str(tmp_path / "big.bin")
+    _, peak = _traced_peak(save_record_binary, path, rec)
+    # a full (theta, x) copy would take 16 MB
+    assert peak <= 4e6
+    back = load_record_binary(path)
+    assert np.array_equal(back.thetas, rec.thetas) and np.array_equal(back.xs, rec.xs)
 
 
 def test_text_reader_stays_within_record_size(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 import emtomo.pipeline
 from emtomo import (
     BinGrid,
+    ColumnDeficitError,
     HomodyneRecord,
     ReconstructionConfig,
     ShiftOverflowError,
@@ -113,7 +114,7 @@ def test_point_overflow_guard(vacuum_record):
     tight = build_kernel_matrix(BinGrid(-1.0, 1.0, 100), 0, 0.85,
                                 max_column_deficit=None)
     with pytest.raises(ShiftOverflowError):
-        reconstruct_point(vacuum_record, 0.0, 0.0, tight, max_iter=5)
+        reconstruct_point(vacuum_record, 0.0, 0.0, tight, max_iter=5, max_column_deficit=None)
 
 
 def test_reconstruction_magnitude_bound(vacuum_record, vacuum_kernel):
@@ -140,6 +141,7 @@ def test_grid_fail_soft_records_failures(vacuum_record):
     cfg = ReconstructionConfig(
         eta=0.85, x_min=-4.0, x_max=4.0, bin_count=400, n_max=6, max_iter=50,
         q_min=0.0, q_max=3.5, q_steps=2, p_min=0.0, p_max=0.0, p_steps=1,
+        max_column_deficit=None,
     )
     grid = reconstruct_wigner_grid(vacuum_record, cfg, kernel=kernel)
     assert (0, 0) not in grid.failures
@@ -158,6 +160,7 @@ def test_grid_all_points_failing_raises(vacuum_record):
     cfg = ReconstructionConfig(
         eta=0.85, x_min=-4.0, x_max=4.0, bin_count=400, n_max=6, max_iter=50,
         q_min=30.0, q_max=31.0, q_steps=2, p_min=0.0, p_max=0.0, p_steps=1,
+        max_column_deficit=None,
     )
     with pytest.raises(ShiftOverflowError):
         reconstruct_wigner_grid(vacuum_record, cfg, kernel=kernel)
@@ -195,6 +198,15 @@ def test_grid_refuses_a_kernel_unlike_the_config(vacuum_record, grid, n_max):
     kernel = build_kernel_matrix(grid, n_max, 0.85, max_column_deficit=None)
     with pytest.raises(ValidationError, match="does not match the config"):
         reconstruct_wigner_grid(vacuum_record, small_config(), kernel=kernel)
+
+
+def test_grid_refuses_a_caller_kernel_beyond_the_configs_bound(vacuum_record):
+    # built unguarded, column 8 loses over a third of its mass outside [-3, 3]
+    kernel = build_kernel_matrix(BinGrid(-3.0, 3.0, 300), 8, 0.85, max_column_deficit=None)
+    assert kernel.column_deficits[8] > 0.3
+    cfg = small_config(x_min=-3.0, x_max=3.0, bin_count=300, q_steps=1, p_steps=1)
+    with pytest.raises(ColumnDeficitError, match="kernel column n=8"):
+        reconstruct_wigner_grid(vacuum_record, cfg, kernel=kernel)
 
 
 def test_oracle_grid_marks_truncation_failures():
