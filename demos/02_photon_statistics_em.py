@@ -24,7 +24,7 @@ print(f"  sample variance {record.xs.var():.4f} "
       f"(ideal |1> would give 1.5, vacuum 0.5)")
 
 grid = BinGrid(-6.0, 6.0, 600)
-hist = Histogram.from_samples(grid, record.xs)
+hist = Histogram(grid, *grid.counts_in_place(record.xs.copy()))
 kernel = build_kernel_matrix(grid, 6, eta)
 
 dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=3_000)

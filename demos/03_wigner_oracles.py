@@ -43,7 +43,7 @@ dist, tail = displaced_photon_distribution(vacuum_state(), q, p, 30)
 lam = 0.5 * (q * q + p * p)
 ref = lam ** np.arange(31) * np.exp(-lam) / \
     np.array([factorial(n) for n in range(31)], dtype=float)
-print(f"\ndisplaced vacuum at ({q}, {p}): mean {dist.mean():.6f} "
+print(f"\ndisplaced vacuum at ({q}, {p}): mean {np.arange(31) @ dist.probs:.6f} "
       f"(expected {lam:.6f}), max gap to Poisson {np.max(np.abs(dist.probs - ref)):.2e}")
 
 # Gaussian smoothing of the Wigner function gives the s-ordered family, each a

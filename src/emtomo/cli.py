@@ -8,8 +8,8 @@ between two grid files, and ``plot`` emits gnuplot artifacts for one.
 All failures print a single machine-parsable line ``error: <category>:
 <message>`` on stderr and exit with a category-specific code: 2 for command
 line usage (argparse), 3 for configuration problems, 4 for unreadable or
-malformed files, 5 for numerical-safety guards, 6 for a tolerance violation
-in ``compare``.
+malformed files, 5 for numerical-safety guards (an array too large to
+allocate included), 6 for a tolerance violation in ``compare``.
 """
 
 from __future__ import annotations
@@ -296,6 +296,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return _EXIT_CODES["io"]
+    except MemoryError as exc:  # an array too large to allocate
+        print(f"error: guard: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return _EXIT_CODES["guard"]
 
 
 if __name__ == "__main__":

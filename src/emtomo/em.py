@@ -77,11 +77,6 @@ class Histogram:
         self.counts = counts.astype(np.int64)
         self.overflow = int(self.overflow)
 
-    @classmethod
-    def from_samples(cls, grid: BinGrid, samples) -> "Histogram":
-        counts, overflow = grid.counts_in_place(np.array(samples, dtype=float).ravel())
-        return cls(grid=grid, counts=counts, overflow=overflow)
-
     @property
     def total(self) -> int:
         return int(self.counts.sum())
@@ -107,9 +102,6 @@ class PhotonDistribution:
                 f"photon distribution sums to {probs.sum()!r}, outside tolerance {self.atol}"
             )
         self.probs = probs
-
-    def mean(self) -> float:
-        return float(np.arange(self.probs.size) @ self.probs)
 
 
 @dataclass

@@ -22,6 +22,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from functools import partial
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -38,6 +39,7 @@ from .fock_kernel import (
     BinGrid,
     _binomial_mixture_matrix,
     _check_eta,
+    _check_order_n,
     _write_atomically,
     fock_wavefunctions,
 )
@@ -92,10 +94,12 @@ class StateSpec:
 
 
 def _check_dim(dim) -> int:
-    """A state dimension as an int, refused below 1 before any array is built."""
+    """A state dimension as an int, refused below 1 or with a top level
+    beyond the wavefunctions' bound before any array is built."""
     dim = int(dim)
     if dim < 1:
         raise ValidationError(f"state dimension must be >= 1, got {dim}")
+    _check_order_n(dim - 1)
     return dim
 
 
@@ -119,8 +123,7 @@ def vacuum_state(dim: int | None = None) -> StateSpec:
 
 
 def fock_state(n: int, dim: int | None = None) -> StateSpec:
-    if n < 0:
-        raise ValidationError(f"photon number must be >= 0, got {n}")
+    n = _check_order_n(n)
     dim = _check_dim(n + 1 if dim is None else dim)
     if n >= dim:
         raise TruncationError(f"Fock state |{n}> does not fit in dim={dim}")
@@ -140,12 +143,16 @@ def _coherent_amplitudes(alpha: complex, count: int) -> np.ndarray:
     return np.exp(log_mag) * np.exp(1j * ns * np.angle(alpha))
 
 
-def _amplitude_dim(alpha: complex, dim: int | None) -> int:
-    """``dim``, by default a truncation whose discarded tail of |alpha> passes the guard."""
+def _amplitude_sizes(alpha, dim: int | None) -> tuple[complex, int, int]:
+    """``alpha`` as a complex, ``dim`` and the longer length its amplitudes
+    are evaluated to; ``dim`` defaults to a truncation whose discarded tail
+    of |alpha> passes the guard."""
+    alpha = complex(alpha)
     if dim is None:
         mean = abs(alpha) ** 2
         dim = int(np.ceil(mean + 10.0 * np.sqrt(mean + 1.0))) + 1
-    return _check_dim(dim)
+    dim = _check_dim(dim)
+    return alpha, dim, max(2 * dim, dim + 32)
 
 
 def coherent_state(alpha: complex, dim: int | None = None) -> StateSpec:
@@ -154,9 +161,7 @@ def coherent_state(alpha: complex, dim: int | None = None) -> StateSpec:
     dim defaults to ceil(|alpha|^2 + 10 sqrt(|alpha|^2 + 1)) + 1; a smaller
     dim trips the truncation guard once the discarded Poisson tail exceeds 1e-10.
     """
-    alpha = complex(alpha)
-    dim = _amplitude_dim(alpha, dim)
-    work = max(2 * dim, dim + 32)
+    alpha, dim, work = _amplitude_sizes(alpha, dim)
     return _pure_state(_coherent_amplitudes(alpha, work), dim)
 
 
@@ -166,10 +171,8 @@ def cat_state(alpha: complex, relative_phase: float, dim: int | None = None) -> 
     relative_phase = pi gives the odd cat (only odd photon numbers), 0 the
     even cat.  dim defaults as in :func:`coherent_state`.
     """
-    alpha = complex(alpha)
     phi = float(relative_phase)
-    dim = _amplitude_dim(alpha, dim)
-    work = max(2 * dim, dim + 32)
+    alpha, dim, work = _amplitude_sizes(alpha, dim)
     plus = _coherent_amplitudes(alpha, work)
     minus = _coherent_amplitudes(-alpha, work)
     amps = plus + np.exp(1j * phi) * minus
@@ -349,11 +352,16 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     return hist
 
 
+def _check_line_break(what: str, text: str) -> None:
+    """Refuse text that a line break would split across lines."""
+    if "\n" in text or "\r" in text:
+        raise ValidationError(f"{what} cannot hold a line break: {text!r}")
+
+
 def _check_line_text(what: str, text: str) -> None:
     """Refuse text that a file's line would not give back: a line break
     splits the line, and the readers strip outer whitespace."""
-    if "\n" in text or "\r" in text:
-        raise ValidationError(f"{what} cannot hold a line break: {text!r}")
+    _check_line_break(what, text)
     if text != text.strip():
         raise ValidationError(f"{what} cannot start or end with whitespace: {text!r}")
 
@@ -368,6 +376,19 @@ def _check_source(source: str) -> None:
         raise ValidationError(f"a source cannot hold a NUL character: {source!r}")
 
 
+def _write_record(path: str, record: HomodyneRecord, header: bytes,
+                  encode: Callable[[np.ndarray], object]) -> None:
+    """Write ``header``, then each slice of ``_SLICE`` (theta, x) pairs as
+    ``encode`` gives it, so no copy of the whole record is made."""
+    def write(fh):
+        fh.write(header)
+        for start in range(0, record.sample_count, _SLICE):
+            stop = start + _SLICE
+            fh.write(encode(np.column_stack((record.thetas[start:stop], record.xs[start:stop]))))
+
+    _write_atomically(path, write)
+
+
 def save_record_text(path: str, record: HomodyneRecord) -> None:
     """Plain-text record: eta=, seed=, source= headers, then theta,x lines.
 
@@ -376,17 +397,10 @@ def save_record_text(path: str, record: HomodyneRecord) -> None:
     break is refused: it would reload as other headers or samples.
     """
     _check_source(record.source)
-    _check_line_text("a text record's source", record.source)
-
-    def write(fh):
-        fh.write(f"eta={record.eta:.17g}\nseed={record.seed}\n"
-                 f"source={record.source}\n".encode())
-        for start in range(0, record.sample_count, _SLICE):
-            stop = start + _SLICE
-            pairs = np.column_stack((record.thetas[start:stop], record.xs[start:stop]))
-            fh.write(("%.17g,%.17g\n" * len(pairs) % tuple(pairs.ravel().tolist())).encode())
-
-    _write_atomically(path, write)
+    _check_line_break("a text record's source", record.source)
+    header = f"eta={record.eta:.17g}\nseed={record.seed}\nsource={record.source}\n"
+    _write_record(path, record, header.encode(), lambda pairs: (
+        "%.17g,%.17g\n" * len(pairs) % tuple(pairs.ravel().tolist())).encode())
 
 
 def _header_line(line: str, header: dict[str, str]) -> bool:
@@ -509,10 +523,9 @@ def load_record_text(path: str) -> HomodyneRecord:
 def save_record_binary(path: str, record: HomodyneRecord) -> None:
     """Binary record: 104-byte header then little-endian (theta, x) pairs.
 
-    Streamed to a temporary file that is renamed over ``path``, so a failed
-    write leaves any previous record intact, a slice of ``_SLICE`` pairs at a
-    time, so no copy of the whole record is made.  The header keeps at most
-    64 UTF-8 bytes of ``source``, cut on a character boundary.
+    Streamed as the text record is, a slice of ``_SLICE`` pairs at a time.
+    The header keeps at most 64 UTF-8 bytes of ``source``, cut on a
+    character boundary.
     """
     if not -(1 << 63) <= record.seed < 1 << 63:
         raise ValidationError(f"seed {record.seed} does not fit a binary record's int64")
@@ -522,15 +535,7 @@ def save_record_binary(path: str, record: HomodyneRecord) -> None:
         _RECORD_MAGIC, _RECORD_VERSION, 0, record.eta, record.seed,
         record.sample_count, source,
     )
-
-    def write(fh):
-        fh.write(header)
-        for start in range(0, record.sample_count, _SLICE):
-            stop = start + _SLICE
-            pairs = np.column_stack((record.thetas[start:stop], record.xs[start:stop]))
-            fh.write(pairs.astype("<f8", copy=False))
-
-    _write_atomically(path, write)
+    _write_record(path, record, header, lambda pairs: pairs.astype("<f8", copy=False))
 
 
 def load_record_binary(path: str) -> HomodyneRecord:

@@ -41,7 +41,7 @@ from .fock_kernel import (
     _write_atomically,
     load_or_build_kernel,
 )
-from .homodyne import HomodyneRecord, _check_line_text, shift_and_histogram
+from .homodyne import HomodyneRecord, _check_line_break, _check_line_text, shift_and_histogram
 
 logger = logging.getLogger(__name__)
 
@@ -130,9 +130,6 @@ class ReconstructionConfig:
 
     def p_axis(self) -> np.ndarray:
         return np.linspace(float(self.p_min), float(self.p_max), self.p_steps)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReconstructionConfig":
@@ -276,7 +273,7 @@ def reconstruct_wigner_grid(
         raise type(last_error)(
             f"every grid point failed; last error: {last_error}"
         )
-    meta = {str(k): _meta_str(v) for k, v in config.to_dict().items()}
+    meta = {str(k): _meta_str(v) for k, v in asdict(config).items()}
     meta["kind"] = "reconstruction"
     meta["n_max"] = _meta_str(n_max)
     return WignerGrid(
@@ -477,6 +474,5 @@ def _gnuplot_string(text: str) -> str:
     """``text`` as a single-quoted gnuplot string, which is read literally
     except that '' stands for one quote; a line break would end the command,
     so it is refused."""
-    if "\n" in text or "\r" in text:
-        raise ValidationError(f"a gnuplot string cannot hold a line break: {text!r}")
+    _check_line_break("a gnuplot string", text)
     return "'" + text.replace("'", "''") + "'"

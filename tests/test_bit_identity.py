@@ -129,7 +129,7 @@ def test_binned_counts_of_abs_x_fold_the_per_sample_counts(bins):
                     np.nextafter(-half_middle, 0.0), np.nextafter(half_middle, 1.0),
                     np.nextafter(-half_middle, -1.0), 2.5, -3.0, np.nan]
     samples = np.concatenate((edge_samples, np.random.default_rng(97).normal(0.0, 1.2, 5_000)))
-    hist = Histogram.from_samples(grid, samples)
+    hist = Histogram(grid, *grid.counts_in_place(samples.copy()))
     counts, overflow = shifted_histogram_per_sample(
         np.zeros(samples.size), samples, 1.0, 0.0, 0.0, grid.x_min, grid.x_max, bins)
     assert hist.counts.size == grid.rows == bins - bins // 2

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import re
 import shlex
@@ -252,6 +254,17 @@ def test_guard_errors_exit_5(workdir, tmp_path, capsys):
     capsys.readouterr()
 
 
+# 10^15 elements lie past a 47-bit address space, so numpy refuses the
+# array before it allocates; a merely large size could be granted lazily.
+@pytest.mark.parametrize("field", ["bin_count", "q_steps"])
+def test_unallocatable_array_exits_5(workdir, capsys, field):
+    rc = main(recon_args(workdir, out=f"never-{field}.txt", **{field: 10**15}))
+    assert rc == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: guard: Unable to allocate")
+    assert not (workdir / f"never-{field}.txt").exists()
+
+
 def test_tolerance_exit_6(workdir, tmp_path, capsys):
     rc = main([
         "oracle", "--state", "fock", "--n", "1", "--n-max", "24",
@@ -360,6 +373,34 @@ def test_state_flag_errors_exit_3(tmp_path, capsys, command, flags):
     if "--dim" in flags:
         assert err[0].startswith("error: config: state dimension must be >= 1")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_state_dimension_beyond_the_wavefunction_bound_exits_5(tmp_path, capsys, monkeypatch,
+                                                                 command, kind):
+    def no_array(*args, **kwargs):
+        raise AssertionError("a state array was built")
+
+    for name in ("zeros", "outer"):
+        monkeypatch.setattr(np, name, no_array)
+    out = tmp_path / "out.txt"
+    assert main(_state_run(command, _KINDS[kind] + ["--dim", "10002"], out)) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: guard: photon number 10001 exceeds the supported maximum 10000"]
+    assert not out.exists()
+
+
+def test_readme_library_imports_are_exported():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    names = []
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "emtomo":
+                names += [(node.module, alias.name) for alias in node.names]
+    assert names
+    for module, name in names:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 def test_readme_commands_parse():

@@ -142,7 +142,8 @@ def test_bin_grid_basics():
     assert grid.edges[0] == -2.0 and grid.edges[-1] == 2.0
     assert grid.rows == 4
     # bins of x hold [2, 0, 0, 0, 1, 0, 0, 2]; the bins of |x| fold them
-    hist = Histogram.from_samples(grid, [-2.0, -1.99, 0.0, 1.99, 2.0, 2.1, -3.0])
+    samples = np.array([-2.0, -1.99, 0.0, 1.99, 2.0, 2.1, -3.0])
+    hist = Histogram(grid, *grid.counts_in_place(samples))
     assert list(hist.counts) == [1, 0, 0, 4]
     assert hist.overflow == 2
     # symmetric grids mirror bit-exactly
@@ -163,7 +164,7 @@ def test_asymmetric_grid_rejected():
 def test_bin_indices_clamp_to_last_bin_and_send_nan_out():
     grid = BinGrid(-8.0, 8.0, 16_000)
     below = np.nextafter(8.0, -np.inf)
-    hist = Histogram.from_samples(grid, [below, 8.0, np.nan, np.inf])
+    hist = Histogram(grid, *grid.counts_in_place(np.array([below, 8.0, np.nan, np.inf])))
     assert hist.counts[-1] == 2 and hist.total == 2
     assert hist.overflow == 2
 

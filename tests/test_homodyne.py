@@ -10,6 +10,7 @@ from scipy.stats import binom, poisson
 
 from emtomo import (
     BinGrid,
+    CutoffTooLargeError,
     EmptyHistogramError,
     FileFormatError,
     Histogram,
@@ -84,6 +85,17 @@ def test_fock_and_vacuum_states():
 def test_state_dimension_below_one_refused(make, dim):
     with pytest.raises(ValidationError, match=f"^state dimension must be >= 1, got {dim}$"):
         make(dim)
+
+
+def test_state_dimension_beyond_the_wavefunction_bound_refused(monkeypatch):
+    def no_array(*args, **kwargs):
+        raise AssertionError("a state array was built")
+
+    monkeypatch.setattr(np, "zeros", no_array)
+    # the top level of a 10002-level state is |10001>, past fock_kernel.MAX_FOCK_N
+    for make in (lambda: fock_state(10001), lambda: vacuum_state(10002)):
+        with pytest.raises(CutoffTooLargeError, match="^photon number 10001 exceeds"):
+            make()
 
 
 def test_odd_cat_occupies_only_odd_levels():
@@ -243,7 +255,7 @@ def test_sampler_histogram_close_to_exact_density():
     # bin-integrated exact density, 1e6 vacuum samples over 200 bins
     grid = BinGrid(-6.0, 6.0, 200)
     rec = sample_homodyne(vacuum_state(), 4, 250_000, 1.0, 20240814)
-    hist = Histogram.from_samples(grid, rec.xs)
+    hist = Histogram(grid, *grid.counts_in_place(rec.xs.copy()))
     exact = build_kernel_matrix(grid, 0, 1.0).entries[:, 0]
     tv = 0.5 * np.sum(np.abs(hist.counts / hist.total - exact / exact.sum()))
     assert tv < 5e-3

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import os
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +83,7 @@ def test_config_json_round_trip(tmp_path):
     path = tmp_path / "cfg.json"
     import json
 
-    path.write_text(json.dumps(cfg.to_dict()))
+    path.write_text(json.dumps(asdict(cfg)))
     back = ReconstructionConfig.from_dict(_read_config_object(str(path)))
     assert back == cfg
     path.write_text("{not json")
