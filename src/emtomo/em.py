@@ -10,9 +10,12 @@ increases the log-likelihood  L(rho) = sum_nu p_nu ln (A rho)_nu  at every
 step and converges to the maximum-likelihood photon-number distribution.
 The bins are those of |x| (:class:`~emtomo.fock_kernel.BinGrid`): the model
 is even in x, so a bin and its mirror share one model value and count as
-one.  Bins with zero counts drop out of the update, and each iterate is
-renormalized by its own sum to absorb the small probability the kernel
-columns lose to the finite bin range.
+one.  Bins with zero counts drop out of the update.  The update keeps the
+iterate's sum: with g_n = sum_nu A[nu][n] p_nu / (A rho)_nu,
+sum_n rho_n g_n = sum_nu p_nu = 1 whatever the kernel columns lose to the
+finite bin range.  Dividing each iterate by its own sum therefore removes
+only rounding (``EmDiagnostics.renorm_correction`` is 4.4e-16 at the origin
+of the criterion-5 cat run after 2000 iterations).
 
 The update is multiplicative, so photon levels the data does not support
 shrink geometrically and, after a few hundred iterations, fall below the
@@ -113,7 +116,7 @@ class EmDiagnostics:
     loglik_trace: np.ndarray
     final_loglik: float
     stop_reason: str  # "plateau" or "max-iterations"
-    renorm_correction: float = 0.0  # largest |1 - sum| absorbed by renormalization
+    renorm_correction: float = 0.0  # largest |1 - sum| renormalized away: rounding only
 
 
 def _check_model(model: np.ndarray) -> None:

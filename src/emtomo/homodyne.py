@@ -10,8 +10,8 @@ where L_eta is the Fock-basis loss channel, whose binomial weights are the
 ones :mod:`emtomo.fock_kernel` mixes its densities with; equivalently the
 kernel of Gaussian smearing applied to the scaled ideal density.  Sampling
 inverts one tabulated CDF per phase by linear interpolation, with one child
-random stream per phase so records are reproducible and per-phase streams
-are independent.
+random stream per phase so records are reproducible, per-phase streams are
+independent and phases can be drawn on any thread.
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ import logging
 import os
 import struct
 import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import gammaln
@@ -66,6 +67,8 @@ _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # Samples the shifted histogram, the record writers and the binary reader
 # handle per slice.
 _SLICE = 1 << 16
+# Slices a record must hold before its histogram is binned on worker threads.
+_THREADED_SLICES = 8
 
 
 @dataclass
@@ -246,6 +249,45 @@ class HomodyneRecord:
         return self.xs.size
 
 
+def _worker_count() -> int:
+    """The CPUs this process may run on: its affinity set, where the OS
+    keeps one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _thread_map(fn: Callable, items: Iterable, threads: int) -> list:
+    """``[fn(item) for item in items]``, the calls made on up to ``threads``
+    worker threads and the calling thread.
+
+    The calling thread takes the items one at a time.  It hands each to an
+    idle worker or, when every worker is busy, makes the call itself, so at
+    most ``threads + 1`` items are held at once.  With no threads every
+    call is made in the calling thread and no thread starts.  An exception
+    raised by ``items`` or a call reaches the caller unchanged, after every
+    started call has ended; a failed call also stops the taking of items.
+    """
+    if threads < 1:
+        return [fn(item) for item in items]
+    results = []
+    with ThreadPoolExecutor(threads) as pool:
+        running = []
+        for item in items:
+            for future in [future for future in running if future.done()]:
+                future.result()  # raises a failed call's exception
+                running.remove(future)
+            if len(running) < threads:
+                future = pool.submit(fn, item)
+                running.append(future)
+            else:
+                future = Future()
+                future.set_result(fn(item))
+            results.append(future)
+    return [future.result() for future in results]
+
+
 def sample_homodyne(
     state: StateSpec,
     phase_count: int,
@@ -266,6 +308,12 @@ def sample_homodyne(
     through the table by linear interpolation.  Each phase uses its own
     child of ``numpy.random.SeedSequence(seed)``, so results are
     reproducible and independent across phases.
+
+    The tables are built in the calling thread (their matrix products
+    already use the BLAS library's threads); with more than one CPU allowed,
+    each phase's draws and their inversion go to a worker thread, one per
+    CPU.  Each phase draws from its own stream into its own samples, so the
+    record does not depend on the worker count.
     """
     if phase_count < 1:
         raise ValidationError(f"phase_count must be >= 1, got {phase_count}")
@@ -285,11 +333,12 @@ def sample_homodyne(
     base_grid = tab_grid(TAB_RANGE)
     base_psi = fock_wavefunctions(lossy.dim - 1, base_grid)
     all_x = np.empty(phase_count * events_per_phase)
-    for j, theta in enumerate(thetas):
+
+    def table(j: int) -> tuple[int, np.ndarray, np.ndarray]:
         grid, psi = base_grid, base_psi
         radius = TAB_RANGE
         for attempt in range(9):
-            dens = np.clip(_phase_density(lossy.rho, theta, psi), 0.0, None)
+            dens = np.clip(_phase_density(lossy.rho, thetas[j], psi), 0.0, None)
             cells = 0.5 * (dens[:-1] + dens[1:]) * (grid[1] - grid[0])
             cdf = np.concatenate(([0.0], np.cumsum(cells)))
             outside = 1.0 - cdf[-1]
@@ -304,15 +353,44 @@ def sample_homodyne(
             logger.debug("phase %d: widening tabulation range to %.3g", j, radius)
             grid = tab_grid(radius)
             psi = fock_wavefunctions(lossy.dim - 1, grid)
+        return j, cdf, grid
+
+    def draw(tabled: tuple[int, np.ndarray, np.ndarray]) -> None:
+        j, cdf, grid = tabled
         u = np.random.default_rng(children[j]).random(events_per_phase)
         all_x[j * events_per_phase : (j + 1) * events_per_phase] = np.interp(
             u * cdf[-1], cdf, grid
         )
+
+    # the calling thread builds the tables, so the draws get a thread per CPU
+    workers = _worker_count()
+    _thread_map(draw, map(table, range(phase_count)), workers if workers > 1 else 0)
     all_thetas = np.repeat(thetas, events_per_phase)
     if source is None:
         source = f"simulated dim={state.dim} eta={eta:g}"
     return HomodyneRecord(eta=eta, thetas=all_thetas, xs=all_x, seed=int(seed),
                           source=source)
+
+
+def _shifted_counts(record: HomodyneRecord, q: float, p: float, grid: BinGrid,
+                    step: int, bounds: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """Counts and overflow of the shifted samples ``bounds`` holds, binned
+    ``step`` samples at a time."""
+    thetas, xs = record.thetas, record.xs
+    scale = np.sqrt(record.eta)
+    counts = np.zeros(grid.rows, dtype=np.int64)
+    overflow = 0
+    for start in range(*bounds, step):
+        stop = min(start + step, bounds[1])
+        th = thetas[start:stop]
+        starts = np.concatenate(([0], np.flatnonzero(th[1:] != th[:-1]) + 1))
+        run_shift = scale * (q * np.cos(th[starts]) + p * np.sin(th[starts]))
+        shifted = np.repeat(run_shift, np.diff(starts, append=th.size))
+        np.subtract(xs[start:stop], shifted, out=shifted)
+        slice_counts, slice_overflow = grid.counts_in_place(shifted)
+        counts += slice_counts
+        overflow += slice_overflow
+    return counts, overflow
 
 
 def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
@@ -330,21 +408,22 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     samples; a run of one sample is a swept phase.  Every sample gets the
     arithmetic of a per-sample evaluation, so the counts do not depend on
     where the runs or slices end.
+
+    A record of ``_THREADED_SLICES`` slices or more is cut into one
+    contiguous share per CPU this process may use, each binned on its own
+    thread in slices of ``_SLICE`` divided by the worker count, so the
+    temporaries live at once do not grow with it.  Integer counts add
+    exactly, so the histogram does not depend on the worker count.
     """
-    thetas, xs = record.thetas, record.xs
-    scale = np.sqrt(record.eta)
-    counts = np.zeros(grid.rows, dtype=np.int64)
-    overflow = 0
-    for start in range(0, xs.size, _SLICE):
-        th = thetas[start : start + _SLICE]
-        starts = np.concatenate(([0], np.flatnonzero(th[1:] != th[:-1]) + 1))
-        run_shift = scale * (q * np.cos(th[starts]) + p * np.sin(th[starts]))
-        shifted = np.repeat(run_shift, np.diff(starts, append=th.size))
-        np.subtract(xs[start : start + _SLICE], shifted, out=shifted)
-        slice_counts, slice_overflow = grid.counts_in_place(shifted)
-        counts += slice_counts
-        overflow += slice_overflow
-    hist = Histogram(grid=grid, counts=counts, overflow=overflow)
+    size = record.sample_count
+    workers = _worker_count() if size >= _THREADED_SLICES * _SLICE else 1
+    share = -(-size // workers)
+    shares = [(start, min(start + share, size)) for start in range(0, size, share)]
+    step = max(_SLICE // workers, 1)
+    # the calling thread bins one share itself
+    parts = _thread_map(partial(_shifted_counts, record, q, p, grid, step), shares, workers - 1)
+    hist = Histogram(grid=grid, counts=sum(counts for counts, _ in parts),
+                     overflow=sum(overflow for _, overflow in parts))
     if hist.total == 0:
         raise EmptyHistogramError(
             "every shifted sample fell outside the bin grid"
