@@ -174,7 +174,9 @@ class BinGrid:
             )
         if self.x_min != -self.x_max:
             raise ValidationError(f"bin grid must be symmetric, got [{self.x_min}, {self.x_max}]")
-        if int(self.bin_count) < 1:
+        if isinstance(self.bin_count, bool) or not isinstance(self.bin_count, (int, np.integer)):
+            raise ValidationError(f"bin_count must be an integer, got {self.bin_count!r}")
+        if self.bin_count < 1:
             raise ValidationError(f"bin_count must be >= 1, got {self.bin_count}")
         object.__setattr__(self, "bin_count", int(self.bin_count))
 

@@ -20,10 +20,10 @@ import logging
 import os
 import struct
 import warnings
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -212,6 +212,8 @@ def _phase_density(rho: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray
 
 def quadrature_density(state: StateSpec, theta: float, x, eta: float = 1.0):
     """Homodyne outcome density h(x; theta) at efficiency eta."""
+    if not np.isfinite(float(theta)):
+        raise ValidationError(f"phase theta must be finite, got {theta!r}")
     lossy = apply_loss_channel(state, eta)
     xs = np.asarray(x, dtype=float)
     psi = fock_wavefunctions(lossy.dim - 1, xs.ravel())
@@ -258,36 +260,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _thread_map(fn: Callable, items: Iterable, threads: int) -> list:
-    """``[fn(item) for item in items]``, the calls made on up to ``threads``
-    worker threads and the calling thread.
-
-    The calling thread takes the items one at a time.  It hands each to an
-    idle worker or, when every worker is busy, makes the call itself, so at
-    most ``threads + 1`` items are held at once.  With no threads every
-    call is made in the calling thread and no thread starts.  An exception
-    raised by ``items`` or a call reaches the caller unchanged, after every
-    started call has ended; a failed call also stops the taking of items.
-    """
-    if threads < 1:
-        return [fn(item) for item in items]
-    results = []
-    with ThreadPoolExecutor(threads) as pool:
-        running = []
-        for item in items:
-            for future in [future for future in running if future.done()]:
-                future.result()  # raises a failed call's exception
-                running.remove(future)
-            if len(running) < threads:
-                future = pool.submit(fn, item)
-                running.append(future)
-            else:
-                future = Future()
-                future.set_result(fn(item))
-            results.append(future)
-    return [future.result() for future in results]
-
-
 def sample_homodyne(
     state: StateSpec,
     phase_count: int,
@@ -313,7 +285,11 @@ def sample_homodyne(
     already use the BLAS library's threads); with more than one CPU allowed,
     each phase's draws and their inversion go to a worker thread, one per
     CPU.  Each phase draws from its own stream into its own samples, so the
-    record does not depend on the worker count.
+    record does not depend on the worker count.  When draws are slower
+    than tables (many events per phase, whose 16 B per sample of record
+    dwarf the tables), up to ``phase_count`` tables of 8 B per grid point
+    wait for a draw.  A table's error stops the tabulation at once; a
+    draw's error reaches the caller after the remaining tables are built.
     """
     if phase_count < 1:
         raise ValidationError(f"phase_count must be >= 1, got {phase_count}")
@@ -364,7 +340,12 @@ def sample_homodyne(
 
     # the calling thread builds the tables, so the draws get a thread per CPU
     workers = _worker_count()
-    _thread_map(draw, map(table, range(phase_count)), workers if workers > 1 else 0)
+    if workers > 1:
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(draw, map(table, range(phase_count))))
+    else:
+        for j in range(phase_count):
+            draw(table(j))
     all_thetas = np.repeat(thetas, events_per_phase)
     if source is None:
         source = f"simulated dim={state.dim} eta={eta:g}"
@@ -410,18 +391,23 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
     where the runs or slices end.
 
     A record of ``_THREADED_SLICES`` slices or more is cut into one
-    contiguous share per CPU this process may use, each binned on its own
-    thread in slices of ``_SLICE`` divided by the worker count, so the
-    temporaries live at once do not grow with it.  Integer counts add
-    exactly, so the histogram does not depend on the worker count.
+    contiguous share per CPU this process may use.  The calling thread bins
+    the first and a worker thread each other share, in slices of ``_SLICE``
+    divided by the worker count, so the temporaries live at once do not
+    grow with it.  Integer counts add exactly, so the histogram does not
+    depend on the worker count.
     """
     size = record.sample_count
     workers = _worker_count() if size >= _THREADED_SLICES * _SLICE else 1
     share = -(-size // workers)
     shares = [(start, min(start + share, size)) for start in range(0, size, share)]
-    step = max(_SLICE // workers, 1)
-    # the calling thread bins one share itself
-    parts = _thread_map(partial(_shifted_counts, record, q, p, grid, step), shares, workers - 1)
+    count = partial(_shifted_counts, record, q, p, grid, max(_SLICE // workers, 1))
+    if workers > 1:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            rest = pool.map(count, shares[1:])
+            parts = [count(shares[0]), *rest]  # the calling thread bins one share
+    else:
+        parts = [count(shares[0])]
     hist = Histogram(grid=grid, counts=sum(counts for counts, _ in parts),
                      overflow=sum(overflow for _, overflow in parts))
     if hist.total == 0:

@@ -153,6 +153,12 @@ def test_bin_grid_basics():
         BinGrid(1.0, -1.0, 10)
     with pytest.raises(ValidationError):
         BinGrid(-1.0, 1.0, 0)
+    # a bin count that is not an integer is refused, not truncated
+    for count in (2.7, np.float64(9.9), True, "10"):
+        with pytest.raises(ValidationError, match="^bin_count must be an integer"):
+            BinGrid(-1.0, 1.0, count)
+    grid = BinGrid(-1.0, 1.0, np.int32(10))
+    assert grid.bin_count == 10 and type(grid.bin_count) is int
 
 
 def test_asymmetric_grid_rejected():

@@ -202,15 +202,22 @@ def test_density_normalization_and_nonnegativity():
 
 
 def test_density_mean_follows_phase():
-    alpha = 1.0
     eta = 0.81
     x = np.linspace(-8.0, 8.0, 1601)
-    st = coherent_state(alpha, 18)
-    for theta in (0.0, np.pi / 3, 1.9):
-        h = quadrature_density(st, theta, x, eta)
-        mean = np.trapezoid(x * h, x)
-        expected = np.sqrt(eta) * np.sqrt(2.0) * alpha * np.cos(theta)
-        assert mean == pytest.approx(expected, abs=1e-8)
+    # a complex alpha makes rho complex, so the sign of the phase factor shows
+    for alpha in (1.0, np.exp(1j * np.pi / 3)):
+        st = coherent_state(alpha, 18)
+        for theta in (0.0, np.pi / 3, 1.9):
+            h = quadrature_density(st, theta, x, eta)
+            mean = np.trapezoid(x * h, x)
+            expected = np.sqrt(eta) * np.sqrt(2.0) * abs(alpha) * np.cos(theta - np.angle(alpha))
+            assert mean == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf], ids=["nan", "inf"])
+def test_density_refuses_a_non_finite_phase(theta):
+    with pytest.raises(ValidationError, match=f"^phase theta must be finite, got {theta}$"):
+        quadrature_density(vacuum_state(), theta, 0.0)
 
 
 def test_vacuum_density_is_unit_variance_gaussian_scaled():
@@ -608,6 +615,18 @@ def test_reader_and_histogram_stay_within_record_size(tmp_path):
     hist, peak = _traced_peak(shift_and_histogram, back, 0.4, -0.2, BinGrid(-8.0, 8.0, 16_000))
     assert hist.total + hist.overflow == count
     assert peak <= 4e6
+
+
+def test_sampler_peak_does_not_grow_with_the_cpu_count(monkeypatch):
+    # 64 phases of 500 events: the 64 tables (128 kB each) outweigh the
+    # 512 kB record, so tables piling up behind the draws would show
+    state = cat_state(1.5j, np.pi, 26)
+    table = 8 * (2 * homodyne.TAB_RANGE / homodyne.TAB_STEP + 1)
+    peaks = {}
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        _, peaks[cpus] = _traced_peak(sample_homodyne, state, 64, 500, 0.9, 777)
+    assert max(peaks[2], peaks[8]) <= peaks[1] + 8 * table
 
 
 def test_binary_writer_holds_no_copy_of_the_record(tmp_path):
