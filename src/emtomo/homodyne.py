@@ -11,7 +11,8 @@ ones :mod:`emtomo.fock_kernel` mixes its densities with; equivalently the
 kernel of Gaussian smearing applied to the scaled ideal density.  Sampling
 inverts one tabulated CDF per phase by linear interpolation, with one child
 random stream per phase so records are reproducible, per-phase streams are
-independent and phases can be drawn on any thread.
+independent and phases can be drawn on any thread.  Histograms are binned
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     ValidationError,
 )
 from .fock_kernel import (
+    MAX_FOCK_N,
     BinGrid,
     _binomial_mixture_matrix,
     _check_eta,
@@ -67,8 +69,6 @@ _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # Samples the shifted histogram, the record writers and the binary reader
 # handle per slice.
 _SLICE = 1 << 16
-# Slices a record must hold before its histogram is binned on worker threads.
-_THREADED_SLICES = 8
 
 
 @dataclass
@@ -142,7 +142,7 @@ def _coherent_amplitudes(alpha: complex, count: int) -> np.ndarray:
         out = np.zeros(count, dtype=complex)
         out[0] = 1.0
         return out
-    log_mag = -0.5 * abs(alpha) ** 2 + ns * np.log(abs(alpha)) - 0.5 * gammaln(ns + 1.0)
+    log_mag = -0.5 * abs(alpha) * abs(alpha) + ns * np.log(abs(alpha)) - 0.5 * gammaln(ns + 1.0)
     return np.exp(log_mag) * np.exp(1j * ns * np.angle(alpha))
 
 
@@ -151,9 +151,11 @@ def _amplitude_sizes(alpha, dim: int | None) -> tuple[complex, int, int]:
     are evaluated to; ``dim`` defaults to a truncation whose discarded tail
     of |alpha> passes the guard."""
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise ValidationError(f"alpha must be finite, got {alpha!r}")
     if dim is None:
-        mean = abs(alpha) ** 2
-        dim = int(np.ceil(mean + 10.0 * np.sqrt(mean + 1.0))) + 1
+        mean = abs(alpha) * abs(alpha)  # inf, where ** raises; the cap keeps dim an int
+        dim = int(min(np.ceil(mean + 10.0 * np.sqrt(mean + 1.0)), MAX_FOCK_N + 1)) + 1
     dim = _check_dim(dim)
     return alpha, dim, max(2 * dim, dim + 32)
 
@@ -353,63 +355,54 @@ def sample_homodyne(
                           source=source)
 
 
-def _shifted_counts(record: HomodyneRecord, q: float, p: float, grid: BinGrid,
-                    step: int, bounds: tuple[int, int]) -> tuple[np.ndarray, int]:
-    """Counts and overflow of the shifted samples ``bounds`` holds, binned
-    ``step`` samples at a time."""
-    thetas, xs = record.thetas, record.xs
-    scale = np.sqrt(record.eta)
-    counts = np.zeros(grid.rows, dtype=np.int64)
-    overflow = 0
-    for start in range(*bounds, step):
-        stop = min(start + step, bounds[1])
-        th = thetas[start:stop]
-        starts = np.concatenate(([0], np.flatnonzero(th[1:] != th[:-1]) + 1))
-        run_shift = scale * (q * np.cos(th[starts]) + p * np.sin(th[starts]))
-        shifted = np.repeat(run_shift, np.diff(starts, append=th.size))
-        np.subtract(xs[start:stop], shifted, out=shifted)
-        slice_counts, slice_overflow = grid.counts_in_place(shifted)
-        counts += slice_counts
-        overflow += slice_overflow
-    return counts, overflow
+def _phase_run_starts(thetas: np.ndarray) -> np.ndarray:
+    """First index of each run of equal phases: 1 B per sample to find, 8 B per run."""
+    mask = np.empty(thetas.size, dtype=bool)
+    mask[0] = True
+    np.not_equal(thetas[1:], thetas[:-1], out=mask[1:])
+    return np.flatnonzero(mask)
 
 
-def shift_and_histogram(record: HomodyneRecord, q: float, p: float,
-                        grid: BinGrid) -> Histogram:
+def shift_and_histogram(record: HomodyneRecord, q: float, p: float, grid: BinGrid, *,
+                        run_starts: np.ndarray | None = None) -> Histogram:
     """Bin |x - sqrt(eta) (q cos theta + p sin theta)| over the whole record.
 
     The shift centers the statistics of the state displaced by -(q + ip)
     (in phase-space coordinates), which is what makes a single phase-averaged
     histogram carry the displaced photon-number distribution.
 
-    The record is shifted and binned in slices of ``_SLICE`` samples, so
-    every temporary is slice-sized and none grows with the record.  The
-    shift is evaluated once per run of equal phases (as
+    The shift is evaluated once per run of equal phases (as
     :func:`sample_homodyne` writes them) and repeated over the run's
-    samples; a run of one sample is a swept phase.  Every sample gets the
-    arithmetic of a per-sample evaluation, so the counts do not depend on
-    where the runs or slices end.
-
-    A record of ``_THREADED_SLICES`` slices or more is cut into one
-    contiguous share per CPU this process may use.  The calling thread bins
-    the first and a worker thread each other share, in slices of ``_SLICE``
-    divided by the worker count, so the temporaries live at once do not
-    grow with it.  Integer counts add exactly, so the histogram does not
-    depend on the worker count.
+    samples; a run of one sample is a swept phase.  A scan passes each
+    point the ``run_starts`` that :func:`_phase_run_starts` found once for
+    ``record.thetas``; a call without them finds its own.  At 8 B per run,
+    they are the one temporary that grows with a swept record.  The record
+    is binned on the calling thread in slices of ``_SLICE`` samples.  Every
+    sample gets the arithmetic of a per-sample evaluation, so the counts do
+    not depend on where the runs or slices end.
     """
+    thetas, xs = record.thetas, record.xs
     size = record.sample_count
-    workers = _worker_count() if size >= _THREADED_SLICES * _SLICE else 1
-    share = -(-size // workers)
-    shares = [(start, min(start + share, size)) for start in range(0, size, share)]
-    count = partial(_shifted_counts, record, q, p, grid, max(_SLICE // workers, 1))
-    if workers > 1:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            rest = pool.map(count, shares[1:])
-            parts = [count(shares[0]), *rest]  # the calling thread bins one share
-    else:
-        parts = [count(shares[0])]
-    hist = Histogram(grid=grid, counts=sum(counts for counts, _ in parts),
-                     overflow=sum(overflow for _, overflow in parts))
+    if run_starts is None:
+        run_starts = _phase_run_starts(thetas)
+    elif run_starts.size == 0 or run_starts[0] != 0 or run_starts[-1] >= size:
+        raise ValidationError(f"run starts must begin at 0 and stay below {size}")
+    scale = np.sqrt(record.eta)
+    counts = np.zeros(grid.rows, dtype=np.int64)
+    overflow = 0
+    for start in range(0, size, _SLICE):
+        stop = min(start + _SLICE, size)
+        # the run holding ``start``, clipped to it, and every run begun before ``stop``
+        runs = run_starts[np.searchsorted(run_starts, start, side="right") - 1:
+                          np.searchsorted(run_starts, stop)]
+        th = thetas[runs]
+        run_shift = scale * (q * np.cos(th) + p * np.sin(th))
+        shifted = np.repeat(run_shift, np.diff(runs.clip(start), append=stop))
+        np.subtract(xs[start:stop], shifted, out=shifted)
+        slice_counts, slice_overflow = grid.counts_in_place(shifted)
+        counts += slice_counts
+        overflow += slice_overflow
+    hist = Histogram(grid=grid, counts=counts, overflow=overflow)
     if hist.total == 0:
         raise EmptyHistogramError(
             "every shifted sample fell outside the bin grid"

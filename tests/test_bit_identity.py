@@ -112,8 +112,8 @@ def _per_sample_histogram(record, q, p, grid):
                                         grid.x_min, grid.x_max, grid.bin_count)
 
 
-def _assert_same_histogram(record, q, p, grid):
-    hist = shift_and_histogram(record, q, p, grid)
+def _assert_same_histogram(record, q, p, grid, **run_starts):
+    hist = shift_and_histogram(record, q, p, grid, **run_starts)
     counts, overflow = _per_sample_histogram(record, q, p, grid)
     assert np.array_equal(hist.counts, fold_mirror_bins(counts))
     assert hist.overflow == overflow
@@ -186,7 +186,9 @@ def test_sliced_histogram_matches_per_sample_histogram(monkeypatch, name):
     record = _slice_records()[name]
     monkeypatch.setattr(homodyne, "_SLICE", 1_000)
     grid = BinGrid(-6.0, 6.0, 1_200)
-    overflows = [_assert_same_histogram(record, q, p, grid)
-                 for q, p in [(0.0, 0.0), (0.7, -1.3), (-2.5, 2.5), (5.5, 5.0)]]
-    # the last two points push samples off the grid
-    assert overflows[-2] > 0 and overflows[-1] > 0
+    # runs found by each call, and runs a scan found once and passes in
+    for run_starts in ({}, {"run_starts": homodyne._phase_run_starts(record.thetas)}):
+        overflows = [_assert_same_histogram(record, q, p, grid, **run_starts)
+                     for q, p in [(0.0, 0.0), (0.7, -1.3), (-2.5, 2.5), (5.5, 5.0)]]
+        # the last two points push samples off the grid
+        assert overflows[-2] > 0 and overflows[-1] > 0

@@ -391,6 +391,26 @@ def test_state_dimension_beyond_the_wavefunction_bound_exits_5(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "oracle"])
+@pytest.mark.parametrize("state", ["coherent", "cat"])
+@pytest.mark.parametrize("alpha, dim, code, error", [
+    ("nan", None, 3, ("config", "alpha must be finite")),
+    ("inf", None, 3, ("config", "alpha must be finite")),
+    ("infj", "10", 3, ("config", "alpha must be finite")),
+    ("1e200", None, 5, ("guard", "exceeds the supported maximum")),
+    ("1e200", "10", 3, ("config", "amplitudes vanish")),
+], ids=["nan", "inf", "infj-dim10", "1e200", "1e200-dim10"])
+def test_unusable_alpha_ends_in_one_error_line(tmp_path, capsys, command, state, alpha, dim,
+                                              code, error):
+    flags = ["--state", state, f"--alpha={alpha}"] + ([] if dim is None else ["--dim", dim])
+    out = tmp_path / "out.txt"
+    assert main(_state_run(command, flags, out)) == code
+    err = capsys.readouterr().err.splitlines()
+    category, words = error
+    assert len(err) == 1 and err[0].startswith(f"error: {category}: ") and words in err[0]
+    assert not out.exists()
+
+
 def test_readme_library_imports_are_exported():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     names = []

@@ -343,6 +343,17 @@ def test_shift_overflow_counted_and_empty_rejected():
         shift_and_histogram(record, 50.0, 0.0, grid)
 
 
+@pytest.mark.parametrize("run_starts", [[], [1, 2], [0, 3]],
+                         ids=["empty", "not-from-0", "past-the-record"])
+def test_run_starts_off_the_record_are_refused(run_starts):
+    record = HomodyneRecord(
+        eta=1.0, thetas=np.array([0.0, 0.0, 0.5]), xs=np.array([0.0, 0.1, 0.2]), seed=0,
+    )
+    with pytest.raises(ValidationError, match="run starts must begin at 0 and stay below 3"):
+        shift_and_histogram(record, 0.0, 0.0, BinGrid(-1.0, 1.0, 10),
+                            run_starts=np.array(run_starts, dtype=np.intp))
+
+
 def test_shift_by_nan_counts_every_sample_as_overflow():
     record = HomodyneRecord(
         eta=1.0, thetas=np.array([0.0, 0.0, 0.5]), xs=np.array([0.0, 0.1, 0.2]), seed=0,
@@ -615,6 +626,17 @@ def test_reader_and_histogram_stay_within_record_size(tmp_path):
     hist, peak = _traced_peak(shift_and_histogram, back, 0.4, -0.2, BinGrid(-8.0, 8.0, 16_000))
     assert hist.total + hist.overflow == count
     assert peak <= 4e6
+
+
+def test_per_sample_phases_hold_9_bytes_a_sample_while_binned():
+    count = 1_000_000
+    rng = np.random.default_rng(6)
+    rec = HomodyneRecord(eta=0.85, thetas=rng.uniform(0.0, np.pi, count),
+                         xs=rng.normal(0.0, 1.3, count), seed=3)
+    hist, peak = _traced_peak(shift_and_histogram, rec, 0.4, -0.2, BinGrid(-8.0, 8.0, 16_000))
+    assert hist.total + hist.overflow == count
+    # a run per sample: 1 B of mask and 8 B of run start, beside slice-sized temporaries
+    assert peak <= 9 * count + 4e6
 
 
 def test_sampler_peak_does_not_grow_with_the_cpu_count(monkeypatch):

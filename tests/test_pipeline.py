@@ -134,6 +134,21 @@ def test_grid_scan_matches_pointwise_calls(vacuum_record, vacuum_kernel):
         assert point.values[0, 0] == grid.values[i, j]
 
 
+def test_grid_scan_finds_the_phase_runs_once(monkeypatch, vacuum_record, vacuum_kernel):
+    searches = []
+    find = emtomo.homodyne._phase_run_starts
+
+    def counted(thetas):
+        searches.append(thetas.size)
+        return find(thetas)
+
+    monkeypatch.setattr(emtomo.homodyne, "_phase_run_starts", counted)
+    monkeypatch.setattr(emtomo.pipeline, "_phase_run_starts", counted)
+    grid = reconstruct_wigner_grid(vacuum_record, small_config(max_iter=20), kernel=vacuum_kernel)
+    assert grid.values.shape == (3, 3) and not grid.failures
+    assert searches == [vacuum_record.sample_count]
+
+
 def test_grid_fail_soft_records_failures(vacuum_record):
     # a grid too narrow for far displacement points: those overflow, the
     # near ones still reconstruct
