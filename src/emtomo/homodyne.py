@@ -8,11 +8,13 @@ efficiency eta is
 
 where L_eta is the Fock-basis loss channel, whose binomial weights are the
 ones :mod:`emtomo.fock_kernel` mixes its densities with; equivalently the
-kernel of Gaussian smearing applied to the scaled ideal density.  Sampling
-inverts one tabulated CDF per phase by linear interpolation, with one child
-random stream per phase so records are reproducible, per-phase streams are
-independent and phases can be drawn on any thread.  Histograms are binned
-on the calling thread.
+kernel of Gaussian smearing applied to the scaled ideal density.  h is
+real, so it is summed from the real part of the phased matrix.  Sampling
+tabulates one CDF per phase on the calling thread and inverts it by linear
+interpolation on a pool of one thread per CPU, with one child random stream
+per phase so records are reproducible, per-phase streams are independent
+and the record does not depend on the CPU count.  Histograms are binned on
+the calling thread.
 """
 
 from __future__ import annotations
@@ -182,9 +184,8 @@ def cat_state(alpha: complex, relative_phase: float, dim: int | None = None) -> 
     minus = _coherent_amplitudes(-alpha, work)
     amps = plus + np.exp(1j * phi) * minus
     if np.vdot(amps, amps).real < 1e-30:
-        raise ValidationError(
-            "cat amplitudes vanish (alpha=0 with relative_phase=pi has no content)"
-        )
+        hint = " (alpha=0 with relative_phase=pi has no content)" if alpha == 0 else ""
+        raise ValidationError(f"cat amplitudes vanish{hint}")
     return _pure_state(amps, dim)
 
 
@@ -207,9 +208,11 @@ def apply_loss_channel(state: StateSpec, eta: float) -> StateSpec:
 
 
 def _phase_density(rho: np.ndarray, theta: float, psi: np.ndarray) -> np.ndarray:
-    """sum_{m,n} rho_mn e^{i(n-m) theta} psi_m psi_n at every column of ``psi``."""
-    c = np.exp(1j * float(theta) * np.arange(rho.shape[0]))[:, None] * psi
-    return np.einsum("mx,mx->x", c.conj(), rho @ c).real
+    """sum_{m,n} rho_mn e^{i(n-m) theta} psi_m psi_n at every column of ``psi``,
+    as psi^T Re(phased rho) psi: the phased matrix is hermitian and psi real."""
+    n = np.arange(rho.shape[0])
+    phased = (rho * np.exp(1j * float(theta) * (n - n[:, None]))).real
+    return np.einsum("mx,mx->x", psi, phased @ psi)
 
 
 def quadrature_density(state: StateSpec, theta: float, x, eta: float = 1.0):
@@ -284,14 +287,15 @@ def sample_homodyne(
     reproducible and independent across phases.
 
     The tables are built in the calling thread (their matrix products
-    already use the BLAS library's threads); with more than one CPU allowed,
-    each phase's draws and their inversion go to a worker thread, one per
-    CPU.  Each phase draws from its own stream into its own samples, so the
-    record does not depend on the worker count.  When draws are slower
-    than tables (many events per phase, whose 16 B per sample of record
-    dwarf the tables), up to ``phase_count`` tables of 8 B per grid point
-    wait for a draw.  A table's error stops the tabulation at once; a
-    draw's error reaches the caller after the remaining tables are built.
+    already use the BLAS library's threads), and each phase's draws and
+    their inversion go to a pool of one worker thread per CPU, a pool of
+    one on one CPU.  Each phase draws from its own stream into its own
+    samples, so the record does not depend on the worker count.  When
+    draws are slower than tables (many events per phase, whose 16 B per
+    sample of record dwarf the tables), up to ``phase_count`` tables of
+    8 B per grid point wait for a draw.  A table's error stops the
+    tabulation at once; a draw's error reaches the caller after the
+    remaining tables are built.
     """
     if phase_count < 1:
         raise ValidationError(f"phase_count must be >= 1, got {phase_count}")
@@ -341,13 +345,8 @@ def sample_homodyne(
         )
 
     # the calling thread builds the tables, so the draws get a thread per CPU
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(draw, map(table, range(phase_count))))
-    else:
-        for j in range(phase_count):
-            draw(table(j))
+    with ThreadPoolExecutor(_worker_count()) as pool:
+        list(pool.map(draw, map(table, range(phase_count))))
     all_thetas = np.repeat(thetas, events_per_phase)
     if source is None:
         source = f"simulated dim={state.dim} eta={eta:g}"

@@ -5,14 +5,15 @@ the Wigner function is assembled from the closed-form transform of |m><n|
 rather than displaced photon statistics; displacement matrices come from
 exponentiating the generator on a padded space rather than Laguerre
 polynomials; the loss channel's binomial weights come from log-gamma rather
-than Pascal's rule; a lossy Fock density comes from Gaussian smearing rather
-than the binomial mixture; the mass it leaves outside a window comes from
-adaptive quadrature of its tails rather than binned kernels; and its bin
-integrals come from fixed-order Gauss-Legendre quadrature rather than the
-closed-form tail recurrence; and s-ordered quasi-probabilities come from
-smoothing the Wigner function by Gauss-Legendre quadrature rather than the
-weighted sum of one displaced distribution.  psi_k comes from this file's
-own recurrences.
+than Pascal's rule; the quadrature density comes from a complex double sum
+over the density matrix rather than real matrix products; a lossy Fock
+density comes from Gaussian smearing rather than the binomial mixture; the
+mass it leaves outside a window comes from adaptive quadrature of its tails
+rather than binned kernels; and its bin integrals come from fixed-order
+Gauss-Legendre quadrature rather than the closed-form tail recurrence; and
+s-ordered quasi-probabilities come from smoothing the Wigner function by
+Gauss-Legendre quadrature rather than the weighted sum of one displaced
+distribution.  psi_k comes from this file's own recurrences.
 
 Three routes restate production arithmetic the slow, obvious way, so that a
 faster production path can be required to match them bit for bit: an EM
@@ -146,6 +147,25 @@ def loss_channel_by_gammaln(rho: np.ndarray, eta: float) -> np.ndarray:
                    + 0.5 * k * np.log1p(-eta))
         out[: d - k, : d - k] += np.outer(v, v) * rho[k:, k:]
     return out
+
+
+def quadrature_density_by_terms(rho: np.ndarray, theta: float, x, eta: float) -> np.ndarray:
+    """sum_{m,n} (L_eta rho)_mn e^{i(n-m) theta} psi_m(x) psi_n(x), term by term.
+
+    A complex double sum over every entry of the lossy density matrix (from
+    :func:`loss_channel_by_gammaln`) with psi from this file's recurrence.
+    It returns the complex sum, whose imaginary part is rounding, and
+    arbitrates ``emtomo.quadrature_density``, which takes the real part of
+    the phased matrix before its real products.
+    """
+    lossy = loss_channel_by_gammaln(rho, eta)
+    xs = np.asarray(x, dtype=float)
+    psi = [_oscillator_wavefunction(k, xs) for k in range(rho.shape[0])]
+    total = np.zeros(xs.shape, dtype=complex)
+    for m in range(rho.shape[0]):
+        for n in range(rho.shape[0]):
+            total += lossy[m, n] * np.exp(1j * (n - m) * theta) * psi[m] * psi[n]
+    return total
 
 
 def gauss_legendre_bin_integrals(edges, n_max: int, eta: float) -> np.ndarray:

@@ -408,6 +408,7 @@ def test_unusable_alpha_ends_in_one_error_line(tmp_path, capsys, command, state,
     err = capsys.readouterr().err.splitlines()
     category, words = error
     assert len(err) == 1 and err[0].startswith(f"error: {category}: ") and words in err[0]
+    assert "alpha=0" not in err[0]  # the cat's hint is for alpha 0 alone
     assert not out.exists()
 
 

@@ -36,7 +36,7 @@ from emtomo import (
 from emtomo import homodyne
 from emtomo.homodyne import load_record_binary, load_record_text
 
-from .reference_routes import loss_channel_by_gammaln
+from .reference_routes import loss_channel_by_gammaln, quadrature_density_by_terms
 
 
 def random_state(rng, dim):
@@ -108,7 +108,7 @@ def test_odd_cat_occupies_only_odd_levels():
 
 
 def test_cat_zero_amplitude_rejected():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"alpha=0 with relative_phase=pi has no content"):
         cat_state(0.0, np.pi, 8)
 
 
@@ -212,6 +212,18 @@ def test_density_mean_follows_phase():
             mean = np.trapezoid(x * h, x)
             expected = np.sqrt(eta) * np.sqrt(2.0) * abs(alpha) * np.cos(theta - np.angle(alpha))
             assert mean == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("state, eta", [
+    (cat_state(1.5j, np.pi, 26), 0.9),
+    (coherent_state(1.1 - 0.8j, 20), 0.75),
+], ids=["lossy-cat", "complex-coherent"])
+@pytest.mark.parametrize("theta", [0.0, 0.7, np.pi / 2, 2.2, 3.1])
+def test_density_matches_the_per_term_double_sum(state, eta, theta):
+    x = np.linspace(-7.0, 7.0, 281)
+    terms = quadrature_density_by_terms(state.rho, theta, x, eta)
+    assert np.max(np.abs(terms.imag)) < 1e-13
+    assert np.max(np.abs(quadrature_density(state, theta, x, eta) - terms.real)) < 1e-13
 
 
 @pytest.mark.parametrize("theta", [np.nan, np.inf], ids=["nan", "inf"])

@@ -1,8 +1,10 @@
-"""Sampling on worker threads gives the one-CPU record bit for bit.
+"""Sampling draws on one pool of a thread per CPU, and gives the same record
+bit for bit at every CPU count.
 
 The worker count is the size of the process's CPU affinity set, patched here
-to 1, 2, 3 and 8 CPUs (so a test starts at most 8 threads).  Each phase of
-a record draws from its own random stream, so the record may not depend on
+to 1, 2, 3 and 8 CPUs (so a test starts at most 8 threads); one CPU gets a
+pool of one thread, so every count takes the same path.  Each phase of a
+record draws from its own random stream, so the record may not depend on
 the count.  Errors raised on a worker reach the caller, and the command
 line, unchanged, and every thread started is joined before the call
 returns.  Binning starts no thread at any CPU count or record size.
@@ -72,13 +74,13 @@ def test_sampled_record_does_not_depend_on_the_cpu_count(monkeypatch, pools, cpu
                                                          state, tab_range):
     monkeypatch.setattr(homodyne, "TAB_RANGE", tab_range)
     _allow_cpus(monkeypatch, 1)
-    serial = sample_homodyne(state, 11, 3_000, 0.9, 777)
-    assert pools == []
+    one = sample_homodyne(state, 11, 3_000, 0.9, 777)
+    assert pools == [1]
     _allow_cpus(monkeypatch, cpus)
-    threaded = sample_homodyne(state, 11, 3_000, 0.9, 777)
-    assert pools == [cpus]
-    assert np.array_equal(threaded.thetas, serial.thetas)
-    assert np.array_equal(threaded.xs, serial.xs)
+    many = sample_homodyne(state, 11, 3_000, 0.9, 777)
+    assert pools == [1, cpus]
+    assert np.array_equal(many.thetas, one.thetas)
+    assert np.array_equal(many.xs, one.xs)
 
 
 def _records():
@@ -152,14 +154,14 @@ def test_tabulation_error_reaches_the_caller_unchanged(monkeypatch, cpus):
     monkeypatch.setattr(homodyne, "_phase_density", vanishing_at_phase_3)
     state = coherent_state(0.5, 12)
     _allow_cpus(monkeypatch, 1)
-    with pytest.raises(TabulationRangeError) as serial:
+    with pytest.raises(TabulationRangeError) as one:
         sample_homodyne(state, 6, 20_000, 0.9, 5)
     _allow_cpus(monkeypatch, cpus)
     before = threading.active_count()
-    with pytest.raises(TabulationRangeError) as threaded:
+    with pytest.raises(TabulationRangeError) as many:
         sample_homodyne(state, 6, 20_000, 0.9, 5)
-    assert str(threaded.value) == str(serial.value)
-    assert "still outside" in str(threaded.value)
+    assert str(many.value) == str(one.value)
+    assert "still outside" in str(many.value)
     assert threading.active_count() == before
 
 
@@ -179,13 +181,15 @@ def _fail_in_worker(monkeypatch, owner, name, raised):
 def test_memory_error_in_a_sampling_worker_exits_5(monkeypatch, tmp_path, capsys):
     raised = []
     _fail_in_worker(monkeypatch, np, "interp", raised)
-    _allow_cpus(monkeypatch, 2)
-    before = threading.active_count()
-    rc = main(["simulate", "--state", "vacuum", "--phases", "4", "--events", "1000",
-               "--eta", "0.9", "--seed", "3", "--out", str(tmp_path / "rec.txt")])
-    assert rc == 5
-    err = capsys.readouterr().err.splitlines()
-    assert err == ["error: guard: Unable to allocate 1.00 MiB for an array"]
-    assert raised  # the error did come from a worker thread
-    assert threading.active_count() == before
-    assert not (tmp_path / "rec.txt").exists()
+    for cpus in (1, 2):  # one CPU draws on a pool of one thread too
+        _allow_cpus(monkeypatch, cpus)
+        raised.clear()
+        before = threading.active_count()
+        rc = main(["simulate", "--state", "vacuum", "--phases", "4", "--events", "1000",
+                   "--eta", "0.9", "--seed", "3", "--out", str(tmp_path / "rec.txt")])
+        assert rc == 5
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: guard: Unable to allocate 1.00 MiB for an array"]
+        assert raised  # the error did come from a worker thread
+        assert threading.active_count() == before
+        assert not (tmp_path / "rec.txt").exists()
