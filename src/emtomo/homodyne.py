@@ -13,8 +13,9 @@ real, so it is summed from the real part of the phased matrix.  Sampling
 tabulates one CDF per phase on the calling thread and inverts it by linear
 interpolation on a pool of one thread per CPU, with one child random stream
 per phase so records are reproducible, per-phase streams are independent
-and the record does not depend on the CPU count.  Histograms are binned on
-the calling thread.
+and the record does not depend on the CPU count.  Draws are inverted in
+sorted order and scattered back, which moves no sample: each depends only
+on its own draw.  Histograms are binned on the calling thread.
 """
 
 from __future__ import annotations
@@ -181,8 +182,11 @@ def cat_state(alpha: complex, relative_phase: float, dim: int | None = None) -> 
     phi = float(relative_phase)
     alpha, dim, work = _amplitude_sizes(alpha, dim)
     plus = _coherent_amplitudes(alpha, work)
-    minus = _coherent_amplitudes(-alpha, work)
-    amps = plus + np.exp(1j * phi) * minus
+    if abs(phi) == np.pi:  # e^{i phi} is -1 +- 1.2e-16i: cancel even n exactly
+        amps = 2.0 * plus
+        amps[::2] = 0.0
+    else:
+        amps = plus + np.exp(1j * phi) * _coherent_amplitudes(-alpha, work)
     if np.vdot(amps, amps).real < 1e-30:
         hint = " (alpha=0 with relative_phase=pi has no content)" if alpha == 0 else ""
         raise ValidationError(f"cat amplitudes vanish{hint}")
@@ -265,6 +269,12 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _invert_table(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray, out: np.ndarray) -> None:
+    """np.interp(u * cdf[-1], cdf, grid) into ``out``, looked up in sorted order."""
+    order = np.argsort(u)
+    out[order] = np.interp(u[order] * cdf[-1], cdf, grid)
+
+
 def sample_homodyne(
     state: StateSpec,
     phase_count: int,
@@ -282,20 +292,24 @@ def sample_homodyne(
     ``TAB_TAIL_TOL`` of the probability outside, the range is widened by
     half-steps of 1.5x, up to 8 times.  Samples are drawn by inverse
     transform: uniform draws scaled to the table's total are mapped back
-    through the table by linear interpolation.  Each phase uses its own
-    child of ``numpy.random.SeedSequence(seed)``, so results are
-    reproducible and independent across phases.
+    through the table by linear interpolation, in sorted order (which walks
+    the table rather than bisecting it at random) scattered back to draw
+    order.  The interpolation takes the last table entry at or below each
+    draw whatever the search path, so the samples and their order are those
+    of a lookup in draw order.  Each phase uses its own child of
+    ``numpy.random.SeedSequence(seed)``, so results are reproducible and
+    independent across phases.
 
     The tables are built in the calling thread (their matrix products
     already use the BLAS library's threads), and each phase's draws and
     their inversion go to a pool of one worker thread per CPU, a pool of
     one on one CPU.  Each phase draws from its own stream into its own
-    samples, so the record does not depend on the worker count.  When
-    draws are slower than tables (many events per phase, whose 16 B per
-    sample of record dwarf the tables), up to ``phase_count`` tables of
-    8 B per grid point wait for a draw.  A table's error stops the
-    tabulation at once; a draw's error reaches the caller after the
-    remaining tables are built.
+    samples, so the record does not depend on the worker count; a worker
+    holds 32 B per event of its phase while it draws.  When draws are
+    slower than tables (many events per phase, whose 16 B per sample of
+    record dwarf the tables), up to ``phase_count`` tables of 8 B per grid
+    point wait for a draw.  A table's error stops the tabulation at once; a
+    draw's error reaches the caller after the remaining tables are built.
     """
     if phase_count < 1:
         raise ValidationError(f"phase_count must be >= 1, got {phase_count}")
@@ -340,9 +354,7 @@ def sample_homodyne(
     def draw(tabled: tuple[int, np.ndarray, np.ndarray]) -> None:
         j, cdf, grid = tabled
         u = np.random.default_rng(children[j]).random(events_per_phase)
-        all_x[j * events_per_phase : (j + 1) * events_per_phase] = np.interp(
-            u * cdf[-1], cdf, grid
-        )
+        _invert_table(u, cdf, grid, all_x[j * events_per_phase : (j + 1) * events_per_phase])
 
     # the calling thread builds the tables, so the draws get a thread per CPU
     with ThreadPoolExecutor(_worker_count()) as pool:

@@ -15,12 +15,13 @@ s-ordered quasi-probabilities come from smoothing the Wigner function by
 Gauss-Legendre quadrature rather than the weighted sum of one displaced
 distribution.  psi_k comes from this file's own recurrences.
 
-Three routes restate production arithmetic the slow, obvious way, so that a
+Four routes restate production arithmetic the slow, obvious way, so that a
 faster production path can be required to match them bit for bit: an EM
 loop that never flushes subnormal entries, allocates every temporary and
 runs on the bins it is given (all bins, through :func:`mirror_rows`, or the
 bins of |x|), a shifted histogram that evaluates cos and sin at every sample
-and bins x rather than |x| (:func:`fold_mirror_bins` folds its counts), and a
+and bins x rather than |x| (:func:`fold_mirror_bins` folds its counts), an
+inverse-CDF lookup of a sampler's draws in the order they were drawn, and a
 text-record reader that parses every line with ``float``.
 """
 
@@ -288,6 +289,12 @@ def shifted_histogram_per_sample(thetas, xs, eta, q, p, x_min, x_max, bin_count)
     counts = np.zeros(bin_count, dtype=np.int64)
     np.add.at(counts, np.minimum(idx, bin_count - 1), 1)
     return counts, int(np.count_nonzero(~inside))
+
+
+def draws_in_draw_order(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Uniform draws mapped through a sampler's CDF table, looked up in the
+    order they were drawn: np.interp(u * cdf[-1], cdf, grid) on unsorted u."""
+    return np.interp(u * cdf[-1], cdf, grid)
 
 
 def load_record_text_per_line(path: str) -> HomodyneRecord:

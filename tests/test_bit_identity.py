@@ -1,8 +1,10 @@
-"""The fast EM iterate and the grouped shift against their plain references.
+"""The fast EM iterate, the grouped shift and the sorted inverse-CDF lookup
+against their plain references.
 
 Flushing subnormal EM entries and evaluating the shift once per run of equal
 phases must not move a Wigner value, a log-likelihood or a histogram count
-by a single bit.  Binning |x| rather than x only reorders sums, so it must
+by a single bit, and looking a phase's draws up in sorted order must not
+move a sample.  Binning |x| rather than x only reorders sums, so it must
 keep W and rho within 1e-13 of the iteration on all bins and stop a plateau
 run on the same iteration, and its counts must equal the per-sample counts
 of x folded over x -> -x.  The references in ``reference_routes``
@@ -28,6 +30,7 @@ from emtomo import homodyne
 
 from .grid_point import reconstruct_point
 from .reference_routes import (
+    draws_in_draw_order,
     em_unflushed,
     fold_mirror_bins,
     mirror_rows,
@@ -192,3 +195,55 @@ def test_sliced_histogram_matches_per_sample_histogram(monkeypatch, name):
                      for q, p in [(0.0, 0.0), (0.7, -1.3), (-2.5, 2.5), (5.5, 5.0)]]
         # the last two points push samples off the grid
         assert overflows[-2] > 0 and overflows[-1] > 0
+
+
+def _tables():
+    """CDF tables with zero-density stretches (clipped tails and a gap), so
+    ``cdf`` repeats values at both ends and inside, at totals of exactly 1,
+    a power of two and a sampler-like 1 - 3e-10."""
+    grid = np.linspace(-4.0, 4.0, 801)
+    dens = np.exp(-grid * grid) * (np.abs(grid) < 3.0) * (np.abs(grid - 0.5) > 0.25)
+    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[:-1] + dens[1:]))))
+    cdf /= cdf[-1]
+    assert cdf[-1] == 1.0 and np.count_nonzero(np.diff(cdf) == 0.0) > 200
+    return grid, [cdf, 0.5 * cdf, (1.0 - 3e-10) * cdf]
+
+
+@pytest.mark.parametrize("draws", [200, 5_000], ids=["fewer-than-points", "more-than-points"])
+def test_sorted_lookup_matches_draw_order_bitwise(draws):
+    # np.interp precomputes its slopes only when the draws outnumber the points
+    grid, cdfs = _tables()
+    rng = np.random.default_rng(2024)
+    for cdf in cdfs:
+        # draws of 0 and 1 (scaled to the total) and duplicated draws
+        u = np.concatenate((rng.random(draws), [0.0, 1.0, 0.0, 1.0],
+                            np.repeat(rng.random(draws // 10), 3)))
+        if cdf[-1] in (1.0, 0.5):
+            # draws that scale exactly onto every 7th entry, repeated ones among them
+            on_entries = cdf[::7] / cdf[-1]
+            assert np.array_equal(on_entries * cdf[-1], cdf[::7])
+            u = np.concatenate((u, on_entries))
+        rng.shuffle(u)
+        expected = draws_in_draw_order(u, cdf, grid)
+        got = np.empty_like(u)
+        homodyne._invert_table(u, cdf, grid, got)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("recipe", [
+    (coherent_state(1.0, 18), 64, 2_000, 0.85, 20240814),
+    (cat_state(1.5j, np.pi, 26), 16, 2_000, 0.9, 777),
+], ids=["calib-plateau", "cat-scan"])
+def test_sampled_record_matches_draw_order_lookup(monkeypatch, recipe):
+    record = sample_homodyne(*recipe)
+    calls = []
+
+    def in_draw_order(u, cdf, grid, out):
+        calls.append(u.size)
+        out[:] = draws_in_draw_order(u, cdf, grid)
+
+    monkeypatch.setattr(homodyne, "_invert_table", in_draw_order)
+    reference = sample_homodyne(*recipe)
+    assert calls == [recipe[2]] * recipe[1]
+    assert np.array_equal(record.thetas, reference.thetas)
+    assert np.array_equal(record.xs, reference.xs)

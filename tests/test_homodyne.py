@@ -107,6 +107,15 @@ def test_odd_cat_occupies_only_odd_levels():
     assert np.max(even[1::2]) < 1e-25
 
 
+@pytest.mark.parametrize("phase", [np.pi, -np.pi], ids=["pi", "-pi"])
+@pytest.mark.parametrize("alpha, dim", [(1e-15, 4), (1e-8j, 4), (1.5j, 26)])
+def test_odd_cat_even_levels_are_exactly_empty(alpha, dim, phase):
+    # e^{i pi} rounds to -1 + 1.2e-16i; unless the even terms cancel exactly,
+    # normalizing a tiny alpha's odd cat inflates that rounding in the vacuum
+    rho = cat_state(alpha, phase, dim).rho
+    assert np.all(rho[::2] == 0.0) and np.all(rho[:, ::2] == 0.0)
+
+
 def test_cat_zero_amplitude_rejected():
     with pytest.raises(ValidationError, match=r"alpha=0 with relative_phase=pi has no content"):
         cat_state(0.0, np.pi, 8)
@@ -661,6 +670,22 @@ def test_sampler_peak_does_not_grow_with_the_cpu_count(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         _, peaks[cpus] = _traced_peak(sample_homodyne, state, 64, 500, 0.9, 777)
     assert max(peaks[2], peaks[8]) <= peaks[1] + 8 * table
+
+
+def test_sampler_draw_temporaries_stay_within_a_per_worker_allowance(monkeypatch):
+    # 4 phases of 200k events: a drawing worker holds its draws, their order,
+    # the sorted draws and their inverted values, 32 B per event of its phase,
+    # beside the 16 B per sample of the record and the wavefunction table and
+    # its product with the phased matrix (8 B per level and grid point each)
+    state = coherent_state(1.0, 18)
+    phases, events = 4, 200_000
+    points = 2 * homodyne.TAB_RANGE / homodyne.TAB_STEP + 1
+    tables = 2 * 8 * state.dim * points
+    per_worker = 32 * events
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
+        _, peak = _traced_peak(sample_homodyne, state, phases, events, 0.85, 777)
+        assert peak <= 16 * phases * events + tables + min(cpus, phases) * per_worker
 
 
 def test_binary_writer_holds_no_copy_of_the_record(tmp_path):
