@@ -157,6 +157,8 @@ class BinGrid:
     counted into the ``rows`` bins of |x|: bins bin_count//2 .. bin_count-1,
     each also holding its mirror bin_count-1-nu (an odd grid's middle bin
     straddles 0 and is its own mirror).  Mirror ``edges`` are exact negatives.
+    :meth:`counts_in_place` bins |x| itself, so a sample and its negative
+    always share a row.
     """
 
     x_min: float
@@ -195,24 +197,29 @@ class BinGrid:
     def counts_in_place(self, buf: np.ndarray) -> tuple[np.ndarray, int]:
         """Counts in the bins of |x|, and overflow, of the float64 samples in ``buf``.
 
-        A sample in [x_min, x_max] lands in bin floor((x - x_min) / width),
-        clamped to the last bin: x_max itself, and samples just below it
-        whose scaled offset rounds up to ``bin_count``, belong there.
-        Samples outside the range, NaN included, count as overflow.  The
-        bins are computed in ``buf``, whose contents are destroyed; the
-        outside samples go to one spill bin past the grid, so a single
-        bincount yields both results before the lower bins fold onto theirs.
+        A sample with |x| <= x_max lands in row floor(|x| c + (B mod 2)/2),
+        evaluated in float64 with c = B / (2 x_max), clamped to the last
+        row: x_max itself, and samples just below it whose value rounds up
+        to ``rows``, belong there.  Samples outside the range, NaN included,
+        count as overflow.  The rows are computed in ``buf``, whose contents
+        are destroyed.  Every sample at or past the last row, NaN included,
+        goes to one spill row past the grid, so a single bincount counts
+        them all; the in-range ones among them then move to the last row.
+        That is exact because no outside sample lands below the last row:
+        rounding is monotone, so its value is at least x_max's, which is
+        within rounding of ``rows``.
         """
-        outside = ~(np.abs(buf) <= self.x_max)  # the grid is symmetric; NaN is outside
-        buf -= self.x_min
-        buf /= self.width
-        # In range buf >= 0, so the integer cast below truncates like floor.
-        np.minimum(buf, self.bin_count - 1, out=buf)
-        np.copyto(buf, self.bin_count, where=outside)
-        counts = np.bincount(buf.astype(np.int64), minlength=self.bin_count + 1)
-        half = self.bin_count // 2
-        counts[half + self.bin_count % 2:-1] += counts[:half][::-1]
-        return counts[half:-1], int(counts[-1])
+        rows = self.rows
+        np.abs(buf, out=buf)
+        overflow = buf.size - np.count_nonzero(buf <= self.x_max)  # NaN is outside
+        buf *= self.bin_count / (2.0 * self.x_max)
+        if self.bin_count % 2:
+            buf += 0.5
+        # fmin sends NaN to the spill row; the rest is >= 0, so the cast floors
+        np.fmin(buf, rows, out=buf)
+        counts = np.bincount(buf.astype(np.int64), minlength=rows + 1)
+        counts[rows - 1] += counts[rows] - overflow
+        return counts[:rows], overflow
 
 
 @dataclass(frozen=True)

@@ -367,11 +367,30 @@ def sample_homodyne(
 
 
 def _phase_run_starts(thetas: np.ndarray) -> np.ndarray:
-    """First index of each run of equal phases: 1 B per sample to find, 8 B per run."""
-    mask = np.empty(thetas.size, dtype=bool)
-    mask[0] = True
-    np.not_equal(thetas[1:], thetas[:-1], out=mask[1:])
-    return np.flatnonzero(mask)
+    """First index of each run of equal phases, 8 B per run.
+
+    The starts are marked one ``_SLICE`` at a time, in a pass that counts
+    them and one that fills an array of exactly that size, so no temporary
+    grows with the record.
+    """
+    size = thetas.size
+    mask = np.empty(min(_SLICE, size), dtype=bool)
+
+    def marked(start):
+        stop = min(start + _SLICE, size)
+        lo = max(start, 1)
+        mask[0] = True  # index 0 starts a run; later slices overwrite it
+        np.not_equal(thetas[lo:stop], thetas[lo - 1:stop - 1], out=mask[lo - start:stop - start])
+        return mask[:stop - start]
+
+    slices = range(0, size, _SLICE)
+    starts = np.empty(sum(np.count_nonzero(marked(start)) for start in slices), dtype=np.int64)
+    filled = 0
+    for start in slices:
+        found = np.flatnonzero(marked(start))
+        np.add(found, start, out=starts[filled:filled + found.size])
+        filled += found.size
+    return starts
 
 
 def shift_and_histogram(record: HomodyneRecord, q: float, p: float, grid: BinGrid, *,

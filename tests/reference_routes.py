@@ -20,7 +20,7 @@ faster production path can be required to match them bit for bit: an EM
 loop that never flushes subnormal entries, allocates every temporary and
 runs on the bins it is given (all bins, through :func:`mirror_rows`, or the
 bins of |x|), a shifted histogram that evaluates cos and sin at every sample
-and bins x rather than |x| (:func:`fold_mirror_bins` folds its counts), an
+and tests each |x| against the range on its own, with no spill bin, an
 inverse-CDF lookup of a sampler's draws in the order they were drawn, and a
 text-record reader that parses every line with ``float``.
 """
@@ -255,39 +255,32 @@ def em_unflushed(counts: np.ndarray, entries: np.ndarray, max_iter: int,
     return rho, float(p_act @ np.log(a_act @ rho)), it
 
 
-def fold_mirror_bins(counts: np.ndarray) -> np.ndarray:
-    """Counts of |x| from the counts of all bins of a symmetric grid.
-
-    Bin nu and its mirror B-1-nu are summed into the upper-half bin, from
-    B // 2 up; an odd grid's middle bin is its own mirror and is kept once.
-    """
-    bins = counts.size
-    folded = (counts + counts[::-1])[bins // 2:]
-    if bins % 2:
-        folded[0] = counts[bins // 2]
-    return folded
-
-
 def mirror_rows(rows: np.ndarray, bin_count: int) -> np.ndarray:
     """Kernel rows of all bins from the rows of |x|: a lower bin takes its mirror's row."""
     return np.concatenate((rows[::-1][: bin_count // 2], rows))
 
 
-def shifted_histogram_per_sample(thetas, xs, eta, q, p, x_min, x_max, bin_count):
-    """Counts and overflow of x - sqrt(eta)(q cos theta + p sin theta).
+def shifted_per_sample(thetas, xs, eta, q, p):
+    """x - sqrt(eta)(q cos theta + p sin theta), with cos and sin evaluated at
+    every sample (no grouping of equal phases)."""
+    return xs - np.sqrt(eta) * (q * np.cos(thetas) + p * np.sin(thetas))
 
-    cos and sin are evaluated at every sample (no grouping of equal phases),
-    and bins come from explicit range tests on each shifted sample:
-    x in [x_min, x_max] lands in floor((x - x_min) / width), clamped to the
-    last bin, anything else counts as overflow.  It calls nothing in
-    ``emtomo.fock_kernel`` or ``emtomo.homodyne``.
+
+def shifted_histogram_per_sample(thetas, xs, eta, q, p, x_max, bin_count):
+    """Counts in the bins of |x| of a grid on [-x_max, x_max], and overflow,
+    of the :func:`shifted_per_sample` values.
+
+    Each sample is tested on its own: |x| <= x_max lands in row
+    floor(|x| (bin_count / (2 x_max)) + (bin_count mod 2) / 2), clamped to
+    the last row, and anything else, NaN included, counts as overflow.  It
+    calls nothing in ``emtomo.fock_kernel`` or ``emtomo.homodyne``.
     """
-    x = xs - np.sqrt(eta) * (q * np.cos(thetas) + p * np.sin(thetas))
-    width = (x_max - x_min) / bin_count
-    inside = (x >= x_min) & (x <= x_max)
-    idx = np.floor((x[inside] - x_min) / width).astype(np.int64)
-    counts = np.zeros(bin_count, dtype=np.int64)
-    np.add.at(counts, np.minimum(idx, bin_count - 1), 1)
+    x = np.abs(shifted_per_sample(thetas, xs, eta, q, p))
+    rows = bin_count - bin_count // 2
+    inside = x <= x_max
+    idx = np.floor(x[inside] * (bin_count / (2.0 * x_max)) + 0.5 * (bin_count % 2))
+    counts = np.zeros(rows, dtype=np.int64)
+    np.add.at(counts, np.minimum(idx.astype(np.int64), rows - 1), 1)
     return counts, int(np.count_nonzero(~inside))
 
 

@@ -4,11 +4,12 @@ against their plain references.
 Flushing subnormal EM entries and evaluating the shift once per run of equal
 phases must not move a Wigner value, a log-likelihood or a histogram count
 by a single bit, and looking a phase's draws up in sorted order must not
-move a sample.  Binning |x| rather than x only reorders sums, so it must
-keep W and rho within 1e-13 of the iteration on all bins and stop a plateau
-run on the same iteration, and its counts must equal the per-sample counts
-of x folded over x -> -x.  The references in ``reference_routes``
-restate the plain arithmetic without any of these shortcuts.
+move a sample.  EM on the bins of |x| rather than x only reorders sums, so
+it must keep W and rho within 1e-13 of the iteration on all bins and stop a
+plateau run on the same iteration.  Binning |x| with one spill row must give
+the counts of per-sample range tests on |x|.  The references in
+``reference_routes`` restate the plain arithmetic without any of these
+shortcuts.
 """
 
 import numpy as np
@@ -32,9 +33,9 @@ from .grid_point import reconstruct_point
 from .reference_routes import (
     draws_in_draw_order,
     em_unflushed,
-    fold_mirror_bins,
     mirror_rows,
     shifted_histogram_per_sample,
+    shifted_per_sample,
 )
 
 TINY = np.finfo(float).tiny
@@ -85,7 +86,7 @@ def test_folded_em_matches_unfolded_iteration(cat_record, bins, eta):
     parity = (-1.0) ** np.arange(kernel.n_max + 1)
     for q, p in CRITERION_5_POINTS:
         hist = shift_and_histogram(record, q, p, kernel.grid)
-        counts, _ = _per_sample_histogram(record, q, p, kernel.grid)
+        counts = _counts_of_x(record, q, p, kernel.grid)
         rho, _, _ = em_unflushed(counts, rows, 2_000)
         dist, _diag = reconstruct_photon_distribution(hist, kernel, max_iter=2_000)
         assert np.max(np.abs(dist.probs - rho)) <= 1e-13
@@ -100,7 +101,7 @@ def test_folded_em_stops_a_plateau_run_on_the_unfolded_iteration():
     rows = mirror_rows(kernel.entries, 16_000)
     for q in (0.0, np.sqrt(2.0), 2.0 * np.sqrt(2.0)):
         hist = shift_and_histogram(record, q, 0.0, kernel.grid)
-        counts, _ = _per_sample_histogram(record, q, 0.0, kernel.grid)
+        counts = _counts_of_x(record, q, 0.0, kernel.grid)
         rho, _, its = em_unflushed(counts, rows, 10_000, plateau_tol=1e-8)
         dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=10_000,
                                                      plateau_tol=1e-8)
@@ -109,16 +110,17 @@ def test_folded_em_stops_a_plateau_run_on_the_unfolded_iteration():
         assert np.max(np.abs(dist.probs - rho)) <= 1e-13
 
 
-def _per_sample_histogram(record, q, p, grid):
-    """Per-sample counts of all bins of ``grid``, and the overflow."""
-    return shifted_histogram_per_sample(record.thetas, record.xs, record.eta, q, p,
-                                        grid.x_min, grid.x_max, grid.bin_count)
+def _counts_of_x(record, q, p, grid):
+    """Counts of the per-sample shifted x in all bins of ``grid``."""
+    x = shifted_per_sample(record.thetas, record.xs, record.eta, q, p)
+    return np.histogram(x, bins=grid.bin_count, range=(grid.x_min, grid.x_max))[0]
 
 
 def _assert_same_histogram(record, q, p, grid, **run_starts):
     hist = shift_and_histogram(record, q, p, grid, **run_starts)
-    counts, overflow = _per_sample_histogram(record, q, p, grid)
-    assert np.array_equal(hist.counts, fold_mirror_bins(counts))
+    counts, overflow = shifted_histogram_per_sample(record.thetas, record.xs, record.eta, q, p,
+                                                    grid.x_max, grid.bin_count)
+    assert np.array_equal(hist.counts, counts)
     assert hist.overflow == overflow
     return overflow
 
@@ -134,9 +136,9 @@ def test_binned_counts_of_abs_x_fold_the_per_sample_counts(bins):
     samples = np.concatenate((edge_samples, np.random.default_rng(97).normal(0.0, 1.2, 5_000)))
     hist = Histogram(grid, *grid.counts_in_place(samples.copy()))
     counts, overflow = shifted_histogram_per_sample(
-        np.zeros(samples.size), samples, 1.0, 0.0, 0.0, grid.x_min, grid.x_max, bins)
+        np.zeros(samples.size), samples, 1.0, 0.0, 0.0, grid.x_max, bins)
     assert hist.counts.size == grid.rows == bins - bins // 2
-    assert np.array_equal(hist.counts, fold_mirror_bins(counts))
+    assert np.array_equal(hist.counts, counts)
     assert hist.overflow == overflow
 
 

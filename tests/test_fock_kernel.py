@@ -175,6 +175,86 @@ def test_bin_indices_clamp_to_last_bin_and_send_nan_out():
     assert hist.overflow == 2
 
 
+# Dyadic grids, so every edge is exact: the even grid's bins are 0.5 wide and
+# the odd grid's 1 wide, its middle bin [-0.5, 0.5].  Each maps the inner
+# edges of |x| to the row that an edge opens and the row of the double just
+# below it.  On the odd grid, 0.5 - 2**-54 joins the edge's row: adding 1/2
+# gives the tie 1 - 2**-54, which rounds to 1.0.
+EDGE_GRIDS = {
+    "even": (BinGrid(-2.0, 2.0, 8), {0.5: (1, 0), 1.0: (2, 1), 1.5: (3, 2)}),
+    "odd": (BinGrid(-2.5, 2.5, 5), {0.5: (1, 1), 1.5: (2, 1)}),
+}
+
+
+def _binned(grid, samples):
+    """Counts and overflow of ``samples``, which never lose or invent a sample."""
+    buf = np.array(samples, dtype=float)
+    counts, overflow = grid.counts_in_place(buf)
+    assert counts.size == grid.rows and np.all(counts >= 0)
+    assert counts.sum() + overflow == len(samples)
+    return counts, overflow
+
+
+def _row(grid, x):
+    counts, overflow = _binned(grid, [x])
+    return None if overflow else int(np.flatnonzero(counts)[0])
+
+
+@pytest.mark.parametrize("parity", list(EDGE_GRIDS))
+def test_abs_x_bins_hold_the_range_ends_in_the_last_row(parity):
+    grid, _ = EDGE_GRIDS[parity]
+    for end in (grid.x_max, -grid.x_max):
+        assert _row(grid, end) == grid.rows - 1
+        assert _row(grid, np.nextafter(end, 0.0)) == grid.rows - 1
+        assert _row(grid, np.nextafter(end, 2.0 * end)) is None
+
+
+@pytest.mark.parametrize("parity", list(EDGE_GRIDS))
+def test_abs_x_bins_open_a_row_at_each_mirror_edge(parity):
+    grid, opens = EDGE_GRIDS[parity]
+    assert _row(grid, 0.0) == _row(grid, -0.0) == 0
+    samples, rows = [0.0, -0.0], [0, 0]
+    for edge, (row, below_row) in opens.items():
+        for x in (edge, -edge):
+            below = np.nextafter(x, 0.0)
+            assert _row(grid, x) == row
+            assert _row(grid, np.nextafter(x, 2.0 * x)) == row
+            assert _row(grid, below) == below_row
+            assert _row(grid, np.nextafter(below, 0.0)) == row - 1
+            samples += [x, np.nextafter(x, 2.0 * x), below, np.nextafter(below, 0.0)]
+            rows += [row, row, below_row, row - 1]
+    # binned together, they land where they land one at a time
+    counts, overflow = _binned(grid, samples)
+    assert np.array_equal(counts, np.bincount(rows, minlength=grid.rows)) and overflow == 0
+
+
+@pytest.mark.parametrize("parity", list(EDGE_GRIDS))
+def test_abs_x_bins_count_nan_and_inf_as_overflow(parity):
+    grid, _ = EDGE_GRIDS[parity]
+    for x in (np.nan, np.inf, -np.inf):
+        assert _row(grid, x) is None
+    counts, overflow = _binned(grid, [np.nan, 0.25, np.inf, -grid.x_max, -np.inf, -0.25])
+    assert overflow == 3
+    assert counts[0] == 2 and counts[-1] == 1 and counts.sum() == 3
+
+
+@pytest.mark.parametrize("parity", list(EDGE_GRIDS))
+def test_abs_x_bins_of_an_empty_buffer(parity):
+    grid, _ = EDGE_GRIDS[parity]
+    counts, overflow = _binned(grid, [])
+    assert not counts.any() and overflow == 0
+
+
+# -1e308 scales past the largest double, to inf, and numpy warns of that
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize("parity", list(EDGE_GRIDS))
+def test_abs_x_bins_of_a_buffer_entirely_outside(parity):
+    grid, _ = EDGE_GRIDS[parity]
+    past = np.nextafter(grid.x_max, np.inf)
+    counts, overflow = _binned(grid, [past, -past, 3.0, -1e308, np.nan, np.inf, -np.inf])
+    assert not counts.any() and overflow == 7
+
+
 @pytest.mark.parametrize("x_max, bins, n_max", [
     (7.0, 140, 10),  # coarse bins
     (6.0, 121, 20),  # odd bin count: the middle bin straddles 0

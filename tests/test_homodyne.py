@@ -660,6 +660,15 @@ def test_per_sample_phases_hold_9_bytes_a_sample_while_binned():
     assert peak <= 9 * count + 4e6
 
 
+def test_phase_run_search_holds_no_per_sample_mask():
+    # one phase over 1M samples: one run start, so all the search holds
+    # beyond its 8-byte result is slice-sized
+    thetas = np.full(1_000_000, 0.3)
+    starts, peak = _traced_peak(homodyne._phase_run_starts, thetas)
+    assert list(starts) == [0]
+    assert peak < 1e6 + starts.nbytes
+
+
 def test_sampler_peak_does_not_grow_with_the_cpu_count(monkeypatch):
     # 64 phases of 500 events: the 64 tables (128 kB each) outweigh the
     # 512 kB record, so tables piling up behind the draws would show
