@@ -15,12 +15,13 @@ s-ordered quasi-probabilities come from smoothing the Wigner function by
 Gauss-Legendre quadrature rather than the weighted sum of one displaced
 distribution.  psi_k comes from this file's own recurrences.
 
-Four routes restate production arithmetic the slow, obvious way, so that a
+Five routes restate production arithmetic the slow, obvious way, so that a
 faster production path can be required to match them bit for bit: an EM
 loop that never flushes subnormal entries, allocates every temporary and
 runs on the bins it is given (all bins, through :func:`mirror_rows`, or the
 bins of |x|), a shifted histogram that evaluates cos and sin at every sample
-and tests each |x| against the range on its own, with no spill bin, an
+and tests each |x| against the range on its own, with no spill bin, a
+search for the runs of equal phases over the whole record at once, an
 inverse-CDF lookup of a sampler's draws in the order they were drawn, and a
 text-record reader that parses every line with ``float``.
 """
@@ -282,6 +283,12 @@ def shifted_histogram_per_sample(thetas, xs, eta, q, p, x_max, bin_count):
     counts = np.zeros(rows, dtype=np.int64)
     np.add.at(counts, np.minimum(idx.astype(np.int64), rows - 1), 1)
     return counts, int(np.count_nonzero(~inside))
+
+
+def phase_run_starts_whole_record(thetas: np.ndarray) -> np.ndarray:
+    """First index of each run of equal phases, from one comparison of the
+    whole record with itself shifted by one."""
+    return np.concatenate(([0], np.flatnonzero(thetas[1:] != thetas[:-1]) + 1))
 
 
 def draws_in_draw_order(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""The fast EM iterate, the grouped shift and the sorted inverse-CDF lookup
-against their plain references.
+"""The fast EM iterate, the grouped shift, the sliced phase-run search and
+the bucketed inverse-CDF lookup against their plain references.
 
 Flushing subnormal EM entries and evaluating the shift once per run of equal
 phases must not move a Wigner value, a log-likelihood or a histogram count
-by a single bit, and looking a phase's draws up in sorted order must not
-move a sample.  EM on the bins of |x| rather than x only reorders sums, so
+by a single bit, finding the runs a slice at a time must not move a run
+start, and looking a phase's draws up in bucket order must not move a
+sample.  EM on the bins of |x| rather than x only reorders sums, so
 it must keep W and rho within 1e-13 of the iteration on all bins and stop a
 plateau run on the same iteration.  Binning |x| with one spill row must give
 the counts of per-sample range tests on |x|.  The references in
@@ -34,6 +35,7 @@ from .reference_routes import (
     draws_in_draw_order,
     em_unflushed,
     mirror_rows,
+    phase_run_starts_whole_record,
     shifted_histogram_per_sample,
     shifted_per_sample,
 )
@@ -183,7 +185,18 @@ def _slice_records():
         # slices 0 and 2 grouped, 1 and 3 per sample, 4 a grouped remainder
         "mixed-routes": record(np.concatenate(
             [runs(4, 250), per_sample, runs(2, 500), per_sample[::-1], runs(1, 321)])),
+        # starts in slices 0 and 3 of 8 only
+        "mostly-startless-slices": record(runs(2, 3_900)),
     }
+
+
+@pytest.mark.parametrize("name", list(_slice_records()))
+def test_sliced_run_starts_match_the_whole_record_search(monkeypatch, name):
+    thetas = _slice_records()[name].thetas
+    expected = phase_run_starts_whole_record(thetas)
+    monkeypatch.setattr(homodyne, "_SLICE", 1_000)
+    starts = homodyne._phase_run_starts(thetas)
+    assert starts.dtype == np.int64 and np.array_equal(starts, expected)
 
 
 @pytest.mark.parametrize("name", list(_slice_records()))

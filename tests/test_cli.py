@@ -3,11 +3,14 @@ import importlib
 import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emtomo
 from emtomo import load_record, load_wigner_grid
 from emtomo.cli import build_parser, main
 
@@ -252,6 +255,24 @@ def test_guard_errors_exit_5(workdir, tmp_path, capsys):
                          max_column_deficit="none", max_iter=20))
     assert rc == 0
     capsys.readouterr()
+
+
+def test_sample_past_the_largest_double_exits_5_without_a_warning(tmp_path):
+    # 1e308 scales past the largest double when binned: it is overflow, and
+    # stderr holds the guard error alone, not numpy's warning of the product
+    record = tmp_path / "huge.txt"
+    record.write_text("eta=0.9\nseed=1\n0,1e308\n")
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(Path(emtomo.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "emtomo", "reconstruct", "--record", str(record),
+         "--out", str(tmp_path / "never.txt"), "--n-max", "2", "--q-steps", "1",
+         "--p-steps", "1", "--bin-count", "100"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 5
+    assert "RuntimeWarning" not in run.stderr
+    assert run.stderr.splitlines()[-1].startswith("error: guard:")
 
 
 # 10^15 elements lie past a 47-bit address space, so numpy refuses the

@@ -36,7 +36,12 @@ from emtomo import (
 from emtomo import homodyne
 from emtomo.homodyne import load_record_binary, load_record_text
 
-from .reference_routes import loss_channel_by_gammaln, quadrature_density_by_terms
+from .reference_routes import (
+    draws_in_draw_order,
+    loss_channel_by_gammaln,
+    quadrature_density_by_terms,
+)
+from .test_bit_identity import _tables
 
 
 def random_state(rng, dim):
@@ -235,6 +240,16 @@ def test_density_matches_the_per_term_double_sum(state, eta, theta):
     assert np.max(np.abs(quadrature_density(state, theta, x, eta) - terms.real)) < 1e-13
 
 
+@pytest.mark.parametrize("dim", [1, 2, 9, 18])
+@pytest.mark.parametrize("theta", [-np.pi, 0.0, 3.1, np.pi])
+def test_harmonic_rows_match_the_per_term_double_sum_on_mixed_states(dim, theta):
+    state = random_state(np.random.default_rng(dim), dim)
+    x = np.linspace(-7.0, 7.0, 281)
+    terms = quadrature_density_by_terms(state.rho, theta, x, 0.8)
+    assert np.max(np.abs(terms.imag)) < 1e-13
+    assert np.max(np.abs(quadrature_density(state, theta, x, 0.8) - terms.real)) < 1e-13
+
+
 @pytest.mark.parametrize("theta", [np.nan, np.inf], ids=["nan", "inf"])
 def test_density_refuses_a_non_finite_phase(theta):
     with pytest.raises(ValidationError, match=f"^phase theta must be finite, got {theta}$"):
@@ -312,6 +327,26 @@ def test_sampler_gives_up_when_range_cannot_hold_density(monkeypatch):
     monkeypatch.setattr(homodyne, "TAB_RANGE", 0.01)
     with pytest.raises(TabulationRangeError):
         sample_homodyne(coherent_state(1.0, 16), 1, 10, 1.0, 1)
+
+
+def test_bucketed_lookup_matches_draw_order_bitwise():
+    # 300k draws put several in a typical one of the 65536 buckets; draws on
+    # the bucket edges k/65536 and just below them, 0, the largest draw
+    # below 1, and duplicates, in shuffled order, through tables with
+    # zero-density stretches (clipped tails and a gap)
+    grid, cdfs = _tables()
+    rng = np.random.default_rng(65536)
+    edges = np.arange(0, 65536, 97) / 65536.0
+    u = np.concatenate((rng.random(300_000), edges, np.nextafter(edges[1:], 0.0),
+                        [0.0, 0.0, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53],
+                        np.repeat(rng.random(2_000), 4)))
+    rng.shuffle(u)
+    assert np.median(np.bincount((u * 65536.0).astype(np.uint16), minlength=65536)) >= 4
+    for cdf in cdfs:
+        expected = draws_in_draw_order(u, cdf, grid)
+        got = np.empty_like(u)
+        homodyne._invert_table(u, cdf, grid, got)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 def test_sampler_validation():
@@ -593,6 +628,27 @@ def test_record_malformed_files_rejected(tmp_path):
         load_record_binary(str(trunc))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("index", [0, 4, 8], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("column", ["thetas", "xs"])
+def test_record_with_a_non_finite_sample_refused(tmp_path, column, index, value):
+    columns = {"thetas": np.linspace(0.0, 3.0, 9), "xs": np.linspace(-2.0, 2.0, 9)}
+    with pytest.raises(ValidationError, match="^record contains non-finite samples$"):
+        HomodyneRecord(eta=0.9, seed=1, **dict(columns, **{column: np.where(
+            np.arange(9) == index, value, columns[column])}))
+    text, binary = tmp_path / "rec.txt", tmp_path / "rec.bin"
+    save_record_binary(str(binary), HomodyneRecord(eta=0.9, seed=1, **columns))
+    data = bytearray(binary.read_bytes())
+    pairs = np.frombuffer(data, dtype="<f8", offset=104).reshape(9, 2)
+    pairs[index, ["thetas", "xs"].index(column)] = value
+    binary.write_bytes(bytes(data))
+    text.write_text("eta=0.9\nseed=1\n" + "".join(f"{t!r},{x!r}\n" for t, x in pairs.tolist()))
+    for path, load in ((text, load_record_text), (binary, load_record_binary)):
+        message = f"{path}: record contains non-finite samples"
+        with pytest.raises(FileFormatError, match=f"^{re.escape(message)}$"):
+            load(str(path))
+
+
 def test_binary_round_trip_across_slices(tmp_path, monkeypatch):
     rng = np.random.default_rng(99)
     rec = HomodyneRecord(eta=0.7, thetas=np.repeat(rng.uniform(0.0, np.pi, 25), 4),
@@ -695,6 +751,16 @@ def test_sampler_draw_temporaries_stay_within_a_per_worker_allowance(monkeypatch
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         _, peak = _traced_peak(sample_homodyne, state, phases, events, 0.85, 777)
         assert peak <= 16 * phases * events + tables + min(cpus, phases) * per_worker
+
+
+def test_record_checks_finite_samples_without_a_mask():
+    count = 1_000_000
+    rng = np.random.default_rng(8)
+    thetas, xs = rng.uniform(0.0, np.pi, count), rng.normal(0.0, 1.3, count)
+    rec, peak = _traced_peak(lambda: HomodyneRecord(eta=0.85, thetas=thetas, xs=xs, seed=3))
+    assert np.shares_memory(rec.thetas, thetas) and np.shares_memory(rec.xs, xs)
+    # a boolean mask of either column would take 1 MB
+    assert peak <= 64e3
 
 
 def test_binary_writer_holds_no_copy_of_the_record(tmp_path):

@@ -148,8 +148,8 @@ def test_tabulation_error_reaches_the_caller_unchanged(monkeypatch, cpus):
     density = homodyne._phase_density
     thetas = np.pi * np.arange(6) / 6
 
-    def vanishing_at_phase_3(rho, theta, psi):
-        return density(rho, theta, psi) * (theta != thetas[3])
+    def vanishing_at_phase_3(harmonics, theta):
+        return density(harmonics, theta) * (theta != thetas[3])
 
     monkeypatch.setattr(homodyne, "_phase_density", vanishing_at_phase_3)
     state = coherent_state(0.5, 12)
