@@ -18,7 +18,7 @@ from emtomo import (
 
 eta = 0.8
 record = sample_homodyne(fock_state(1, 4), 4, 50_000, eta, seed=11)
-print(f"simulated {record.sample_count} samples at {np.unique(record.thetas).size} "
+print(f"simulated {record.sample_count} samples at {np.unique(record.run_phases).size} "
       f"phases, eta = {eta}")
 print(f"  sample variance {record.xs.var():.4f} "
       f"(ideal |1> would give 1.5, vacuum 0.5)")

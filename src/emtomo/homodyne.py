@@ -71,8 +71,7 @@ TAB_RANGE = 8.0
 _SEPARATORS = "\x1c\x1d\x1e\x1f"
 # Path suffixes np.loadtxt decompresses (through numpy's DataSource).
 _DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-# Samples the shifted histogram, the record writers and the binary reader
-# handle per slice.
+# Samples per slice of the record's run search, its writers and histogram.
 _SLICE = 1 << 16
 
 
@@ -244,7 +243,8 @@ def _phase_density(harmonics: np.ndarray, theta: float) -> np.ndarray:
 
 
 def quadrature_density(state: StateSpec, theta: float, x, eta: float = 1.0):
-    """Homodyne outcome density h(x; theta) at efficiency eta."""
+    """Homodyne outcome density h(x; theta) at efficiency eta; a call builds
+    all 2d - 1 rows of :func:`_harmonics` for one phase, dearer than a direct sum."""
     if not np.isfinite(float(theta)):
         raise ValidationError(f"phase theta must be finite, got {theta!r}")
     lossy = apply_loss_channel(state, eta)
@@ -254,35 +254,82 @@ def quadrature_density(state: StateSpec, theta: float, x, eta: float = 1.0):
     return h if np.ndim(x) else float(h)
 
 
-@dataclass
 class HomodyneRecord:
-    """Phase-tagged quadrature samples from one simulated (or real) run."""
+    """Phase-tagged quadrature samples from one simulated (or real) run.
 
-    eta: float
-    thetas: np.ndarray
-    xs: np.ndarray
-    seed: int
-    source: str = ""
+    The phases are held as runs of bitwise-equal phase: each run's first
+    sample in ``run_starts`` (int64) and its phase in ``run_phases``, 16 B
+    per run beside 8 B per sample of ``xs``.  :attr:`thetas` expands them.
+    """
 
-    def __post_init__(self):
-        self.eta = _check_eta(self.eta)
+    def __init__(self, eta: float, thetas, xs, seed: int, source: str = ""):
         # reshape, unlike ravel, keeps a strided column (a text record's) a view
-        thetas = np.asarray(self.thetas, dtype=float).reshape(-1)
-        xs = np.asarray(self.xs, dtype=float).reshape(-1)
+        thetas = np.asarray(thetas, dtype=float).reshape(-1)
+        xs = np.asarray(xs, dtype=float).reshape(-1)
         if thetas.shape != xs.shape:
             raise ValidationError("thetas and xs must have equal length")
-        if thetas.size == 0:
+        slices = (thetas[start:start + _SLICE] for start in range(0, xs.size, _SLICE))
+        self._store(eta, *_phase_runs(xs.size, slices), xs, seed, source)
+
+    @classmethod
+    def _from_runs(cls, eta, run_starts, run_phases, xs, seed, source) -> HomodyneRecord:
+        """A record of runs already found (the sampler's and the binary reader's)."""
+        return cls.__new__(cls)._store(eta, run_starts, run_phases, xs, seed, source)
+
+    def _store(self, eta, run_starts, run_phases, xs, seed, source) -> HomodyneRecord:
+        """The one validator of both ways in; it then sets the fields."""
+        self.eta = _check_eta(eta)
+        if xs.size == 0:
             raise ValidationError("record holds no samples")
         # NaN carries through min and max, and +-inf is one of them: no mask
-        if not np.isfinite([thetas.min(), thetas.max(), xs.min(), xs.max()]).all():
+        if not np.isfinite([run_phases.min(), run_phases.max(), xs.min(), xs.max()]).all():
             raise ValidationError("record contains non-finite samples")
-        self.thetas = thetas
-        self.xs = xs
-        self.seed = int(self.seed)
+        self.run_starts, self.run_phases, self.xs = run_starts, run_phases, xs
+        self.seed, self.source = int(seed), source
+        return self
 
     @property
     def sample_count(self) -> int:
         return self.xs.size
+
+    @property
+    def thetas(self) -> np.ndarray:
+        """The phase of every sample, expanded from the runs: 8 B per sample."""
+        return np.repeat(self.run_phases, np.diff(self.run_starts, append=self.sample_count))
+
+    def _slices(self):
+        """Per slice of ``_SLICE`` samples: its runs' phases and lengths within
+        it (a run that starts at its end has length 0), and its xs."""
+        for start in range(0, self.sample_count, _SLICE):
+            stop = min(start + _SLICE, self.sample_count)
+            first, end = np.searchsorted(self.run_starts, (start, stop), side="right")
+            lengths = np.diff(self.run_starts[first - 1:end].clip(start), append=stop)
+            yield self.run_phases[first - 1:end], lengths, self.xs[start:stop]
+
+
+def _phase_runs(size: int, slices) -> tuple[np.ndarray, np.ndarray]:
+    """Starts (int64) and phases of the runs of bitwise-equal phases in
+    ``slices``, consecutive arrays of at most ``_SLICE`` phases, ``size`` in all.
+    A run may go on into the next slice.  Both arrays grow in place by
+    doubling, capped at ``size``, so a phase per sample peaks at 16 B each."""
+    starts, phases = np.empty(0, dtype=np.int64), np.empty(0)
+    mask = np.empty(min(_SLICE, size), dtype=bool)
+    runs, done, last = 0, 0, None
+    for chunk in slices:
+        bits = chunk.view(np.int64)
+        mask[0] = last is None or bits[0] != last
+        np.not_equal(bits[1:], bits[:-1], out=mask[1:bits.size])
+        found = np.flatnonzero(mask[:bits.size])
+        if runs + found.size > starts.size:
+            capacity = min(max(2 * starts.size, runs + found.size), size)
+            starts.resize(capacity, refcheck=False)
+            phases.resize(capacity, refcheck=False)
+        np.add(found, done, out=starts[runs:runs + found.size])
+        phases[runs:runs + found.size] = chunk[found]
+        runs, done, last = runs + found.size, done + bits.size, bits[-1]
+    starts.resize(runs, refcheck=False)
+    phases.resize(runs, refcheck=False)
+    return starts, phases
 
 
 def _worker_count() -> int:
@@ -335,7 +382,7 @@ def sample_homodyne(
     one on one CPU.  Each phase draws from its own stream into its own
     samples, so the record does not depend on the worker count; a worker
     holds 32 B per event of its phase while it draws.  When draws are
-    slower than tables (many events per phase, whose 16 B per sample of
+    slower than tables (many events per phase, whose 8 B per sample of
     record dwarf the tables), up to ``phase_count`` tables of 8 B per grid
     point wait for a draw.  A table's error stops the tabulation at once; a
     draw's error reaches the caller after the remaining tables are built.
@@ -391,79 +438,35 @@ def sample_homodyne(
     # the calling thread builds the tables, so the draws get a thread per CPU
     with ThreadPoolExecutor(_worker_count()) as pool:
         list(pool.map(draw, map(table, range(phase_count))))
-    all_thetas = np.repeat(thetas, events_per_phase)
     if source is None:
         source = f"simulated dim={state.dim} eta={eta:g}"
-    return HomodyneRecord(eta=eta, thetas=all_thetas, xs=all_x, seed=int(seed),
-                          source=source)
+    starts = np.arange(phase_count, dtype=np.int64) * events_per_phase
+    return HomodyneRecord._from_runs(eta, starts, thetas, all_x, seed, source)
 
 
-def _phase_run_starts(thetas: np.ndarray) -> np.ndarray:
-    """First index of each run of equal phases, 8 B per run.
-
-    The starts are marked one ``_SLICE`` at a time, in a pass that counts
-    each slice's starts and one that fills an array of exactly their total
-    from the slices that hold any, so no temporary grows with the record.
-    """
-    size = thetas.size
-    mask = np.empty(min(_SLICE, size), dtype=bool)
-
-    def marked(start):
-        stop = min(start + _SLICE, size)
-        lo = max(start, 1)
-        mask[0] = True  # index 0 starts a run; later slices overwrite it
-        np.not_equal(thetas[lo:stop], thetas[lo - 1:stop - 1], out=mask[lo - start:stop - start])
-        return mask[:stop - start]
-
-    counts = {start: np.count_nonzero(marked(start)) for start in range(0, size, _SLICE)}
-    starts = np.empty(sum(counts.values()), dtype=np.int64)
-    filled = 0
-    for start, count in counts.items():
-        if count:
-            np.add(np.flatnonzero(marked(start)), start, out=starts[filled:filled + count])
-            filled += count
-    return starts
-
-
-def shift_and_histogram(record: HomodyneRecord, q: float, p: float, grid: BinGrid, *,
-                        run_starts: np.ndarray | None = None) -> Histogram:
+def shift_and_histogram(record: HomodyneRecord, q: float, p: float, grid: BinGrid) -> Histogram:
     """Bin |x - sqrt(eta) (q cos theta + p sin theta)| over the whole record.
 
     The shift centers the statistics of the state displaced by -(q + ip)
     (in phase-space coordinates), which is what makes a single phase-averaged
     histogram carry the displaced photon-number distribution.
 
-    The shift is evaluated once per run of equal phases (as
-    :func:`sample_homodyne` writes them) and repeated over the run's
-    samples; a run of one sample is a swept phase.  A scan passes each
-    point the ``run_starts`` that :func:`_phase_run_starts` found once for
-    ``record.thetas``; a call without them finds its own.  At 8 B per run,
-    they are the one temporary that grows with a swept record.  The record
-    is binned on the calling thread in slices of ``_SLICE`` samples.  Every
-    sample gets the arithmetic of a per-sample evaluation, so the counts do
-    not depend on where the runs or slices end.
+    The record is binned on the calling thread in slices of ``_SLICE``
+    samples.  Each slice looks up its runs of equal phases on the record,
+    evaluates the shift once per run and repeats it over the run's samples;
+    a run of one sample is a swept phase.  Every sample gets the arithmetic
+    of a per-sample evaluation, so the counts do not depend on where the
+    runs or slices end.
     """
-    thetas, xs = record.thetas, record.xs
-    size = record.sample_count
-    if run_starts is None:
-        run_starts = _phase_run_starts(thetas)
-    elif run_starts.size == 0 or run_starts[0] != 0 or run_starts[-1] >= size:
-        raise ValidationError(f"run starts must begin at 0 and stay below {size}")
     scale = np.sqrt(record.eta)
     counts = np.zeros(grid.rows, dtype=np.int64)
     overflow = 0
     # a sample that overflows to inf in the shift or the bin scale is counted
     # as overflow; numpy need not warn of it (set once, not per slice)
     with np.errstate(over="ignore"):
-        for start in range(0, size, _SLICE):
-            stop = min(start + _SLICE, size)
-            # the run holding ``start``, clipped to it, and every run begun before ``stop``
-            runs = run_starts[np.searchsorted(run_starts, start, side="right") - 1:
-                              np.searchsorted(run_starts, stop)]
-            th = thetas[runs]
-            run_shift = scale * (q * np.cos(th) + p * np.sin(th))
-            shifted = np.repeat(run_shift, np.diff(runs.clip(start), append=stop))
-            np.subtract(xs[start:stop], shifted, out=shifted)
+        for phases, lengths, xs in record._slices():
+            shifted = np.repeat(scale * (q * np.cos(phases) + p * np.sin(phases)), lengths)
+            np.subtract(xs, shifted, out=shifted)
             slice_counts, slice_overflow = grid.counts_in_place(shifted)
             counts += slice_counts
             overflow += slice_overflow
@@ -501,13 +504,12 @@ def _check_source(source: str) -> None:
 
 def _write_record(path: str, record: HomodyneRecord, header: bytes,
                   encode: Callable[[np.ndarray], object]) -> None:
-    """Write ``header``, then each slice of ``_SLICE`` (theta, x) pairs as
-    ``encode`` gives it, so no copy of the whole record is made."""
+    """Write ``header``, then each slice of ``_SLICE`` (theta, x) pairs, its
+    phases expanded from the record's runs, as ``encode`` gives it."""
     def write(fh):
         fh.write(header)
-        for start in range(0, record.sample_count, _SLICE):
-            stop = start + _SLICE
-            fh.write(encode(np.column_stack((record.thetas[start:stop], record.xs[start:stop]))))
+        for phases, lengths, xs in record._slices():
+            fh.write(encode(np.column_stack((np.repeat(phases, lengths), xs))))
 
     _write_atomically(path, write)
 
@@ -614,8 +616,8 @@ def load_record_text(path: str) -> HomodyneRecord:
     """Read a text record written by :func:`save_record_text`.
 
     The header block is read line by line and the samples after it in one
-    ``np.loadtxt`` pass, whose two columns become the record's thetas and
-    xs.  A file that pass refuses or reads as other than two columns (a
+    ``np.loadtxt`` pass, whose phase column the record takes into runs and
+    whose x column is its xs.  A file that pass refuses or reads as other than two columns (a
     header or comment after the first sample, a whitespace-only line, a
     number such as ``1_0`` that ``float`` reads and numpy does not) is read
     again by the per-line loop, which gives the record or the error.
@@ -666,8 +668,8 @@ def load_record_binary(path: str) -> HomodyneRecord:
 
     The payload size is checked against the header's sample count before
     any sample is read.  Samples are then read in slices of ``_SLICE``
-    pairs into one reused buffer and split into the record's ``thetas`` and
-    ``xs``, so the reader holds no full-length copy beyond those two arrays.
+    pairs into one reused buffer, whose xs are copied into the record's
+    ``xs`` and whose phases are compressed into runs as they are read.
     """
     with open(path, "rb") as fh:
         header = fh.read(_RECORD_HEADER.size)
@@ -683,24 +685,25 @@ def load_record_binary(path: str) -> HomodyneRecord:
             raise FileFormatError(
                 f"{path}: expected {16 * count} bytes of sample data, found {found}"
             )
-        thetas, xs = np.empty(count), np.empty(count)
-        pairs = np.empty((min(_SLICE, count), 2), dtype="<f8")
-        for start in range(0, count, _SLICE):
-            chunk = pairs[: count - start]
-            got = fh.readinto(chunk)
-            if got != chunk.nbytes:  # the file shrank after the size check
-                raise FileFormatError(
-                    f"{path}: expected {16 * count} bytes of sample data, "
-                    f"found {16 * start + got}"
-                )
-            stop = start + len(chunk)
-            thetas[start:stop], xs[start:stop] = chunk.T
-        del pairs, chunk  # freed before the record's checks allocate
+        xs = np.empty(count)
+
+        def phase_slices():
+            pairs = np.empty((min(_SLICE, count), 2), dtype="<f8")
+            for start in range(0, count, _SLICE):
+                chunk = pairs[: count - start]
+                got = fh.readinto(chunk)
+                if got != chunk.nbytes:  # the file shrank after the size check
+                    raise FileFormatError(
+                        f"{path}: expected {16 * count} bytes of sample data, "
+                        f"found {16 * start + got}"
+                    )
+                xs[start:start + len(chunk)] = chunk[:, 1]
+                yield chunk[:, 0]
+
+        runs = _phase_runs(count, phase_slices())
     try:
-        return HomodyneRecord(
-            eta=float(eta), thetas=thetas, xs=xs,
-            seed=int(seed), source=source.rstrip(b"\x00").decode("utf-8", "replace"),
-        )
+        return HomodyneRecord._from_runs(float(eta), *runs, xs, int(seed),
+                                         source.rstrip(b"\x00").decode("utf-8", "replace"))
     except ValidationError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

@@ -41,8 +41,7 @@ from .fock_kernel import (
     _write_atomically,
     load_or_build_kernel,
 )
-from .homodyne import (HomodyneRecord, _check_line_break, _check_line_text, _phase_run_starts,
-                       shift_and_histogram)
+from .homodyne import HomodyneRecord, _check_line_break, _check_line_text, shift_and_histogram
 
 logger = logging.getLogger(__name__)
 
@@ -211,10 +210,9 @@ def reconstruct_wigner_grid(
 
     Each point shifts and bins the record, refuses more than
     ``MAX_OVERFLOW_FRACTION`` of it off the bin grid, runs EM and takes the
-    parity sum.  The record's runs of equal phases are found and the kernel
-    is built (or loaded from ``config.kernel_cache``) once per scan; a
-    caller's ``kernel`` must have the config's bin grid, cutoff and eta, and
-    pass its ``max_column_deficit``.  Per-point numerical failures
+    parity sum.  The kernel is built (or loaded from ``config.kernel_cache``)
+    once per scan; a caller's ``kernel`` must have the config's bin grid,
+    cutoff and eta, and pass its ``max_column_deficit``.  Per-point numerical failures
     (overflow, empty histogram, a vanishing model) are recorded in
     ``failures`` and leave NaN in every float column and 0 in
     ``iterations``; they do not abort the scan unless every point fails.
@@ -247,11 +245,10 @@ def reconstruct_wigner_grid(
     rho_tail = np.full(shape, np.nan)
     failures: dict = {}
     last_error: Exception | None = None
-    run_starts = _phase_run_starts(record.thetas)
     for i, q in enumerate(qs.tolist()):
         for j, p in enumerate(ps.tolist()):
             try:
-                hist = shift_and_histogram(record, q, p, kernel.grid, run_starts=run_starts)
+                hist = shift_and_histogram(record, q, p, kernel.grid)
                 overflow_fraction = hist.overflow / record.sample_count
                 if overflow_fraction > MAX_OVERFLOW_FRACTION:
                     raise ShiftOverflowError(

@@ -286,9 +286,11 @@ def shifted_histogram_per_sample(thetas, xs, eta, q, p, x_max, bin_count):
 
 
 def phase_run_starts_whole_record(thetas: np.ndarray) -> np.ndarray:
-    """First index of each run of equal phases, from one comparison of the
-    whole record with itself shifted by one."""
-    return np.concatenate(([0], np.flatnonzero(thetas[1:] != thetas[:-1]) + 1))
+    """First index of each run of phases with equal bits (so 0.0 and -0.0
+    differ), from one comparison of the whole record with itself shifted by
+    one."""
+    bits = thetas.view(np.int64)
+    return np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1))
 
 
 def draws_in_draw_order(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -1,10 +1,10 @@
-"""The fast EM iterate, the grouped shift, the sliced phase-run search and
-the bucketed inverse-CDF lookup against their plain references.
+"""The fast EM iterate, the grouped shift, the record's sliced phase-run
+search and the bucketed inverse-CDF lookup against their plain references.
 
 Flushing subnormal EM entries and evaluating the shift once per run of equal
 phases must not move a Wigner value, a log-likelihood or a histogram count
-by a single bit, finding the runs a slice at a time must not move a run
-start, and looking a phase's draws up in bucket order must not move a
+by a single bit, finding the runs a slice at a time, as the constructor and
+the binary reader do, must not move a run start, and looking a phase's draws up in bucket order must not move a
 sample.  EM on the bins of |x| rather than x only reorders sums, so
 it must keep W and rho within 1e-13 of the iteration on all bins and stop a
 plateau run on the same iteration.  Binning |x| with one spill row must give
@@ -26,9 +26,11 @@ from emtomo import (
     default_cutoff,
     reconstruct_photon_distribution,
     sample_homodyne,
+    save_record_binary,
     shift_and_histogram,
 )
 from emtomo import homodyne
+from emtomo.homodyne import load_record_binary
 
 from .grid_point import reconstruct_point
 from .reference_routes import (
@@ -118,8 +120,8 @@ def _counts_of_x(record, q, p, grid):
     return np.histogram(x, bins=grid.bin_count, range=(grid.x_min, grid.x_max))[0]
 
 
-def _assert_same_histogram(record, q, p, grid, **run_starts):
-    hist = shift_and_histogram(record, q, p, grid, **run_starts)
+def _assert_same_histogram(record, q, p, grid):
+    hist = shift_and_histogram(record, q, p, grid)
     counts, overflow = shifted_histogram_per_sample(record.thetas, record.xs, record.eta, q, p,
                                                     grid.x_max, grid.bin_count)
     assert np.array_equal(hist.counts, counts)
@@ -187,16 +189,49 @@ def _slice_records():
             [runs(4, 250), per_sample, runs(2, 500), per_sample[::-1], runs(1, 321)])),
         # starts in slices 0 and 3 of 8 only
         "mostly-startless-slices": record(runs(2, 3_900)),
+        # a run ends on the slice edge 1000; the next one's phase goes on
+        # across 2000, and its copy after a run of -0.0 is a run of its own
+        "runs-on-slice-edges": record(np.repeat(
+            [0.5, 1.25, -0.0, 0.0, 1.25], [1_000, 1_500, 300, 200, 700])),
     }
 
 
 @pytest.mark.parametrize("name", list(_slice_records()))
-def test_sliced_run_starts_match_the_whole_record_search(monkeypatch, name):
-    thetas = _slice_records()[name].thetas
+def test_sliced_run_starts_match_the_whole_record_search(tmp_path, monkeypatch, name):
+    thetas, xs = _slice_records()[name].thetas, _slice_records()[name].xs
     expected = phase_run_starts_whole_record(thetas)
     monkeypatch.setattr(homodyne, "_SLICE", 1_000)
-    starts = homodyne._phase_run_starts(thetas)
-    assert starts.dtype == np.int64 and np.array_equal(starts, expected)
+    built = HomodyneRecord(eta=0.85, thetas=thetas, xs=xs, seed=0)
+    save_record_binary(str(tmp_path / "rec.bin"), built)
+    for record in (built, load_record_binary(str(tmp_path / "rec.bin"))):
+        assert record.run_starts.dtype == np.int64
+        assert np.array_equal(record.run_starts, expected)
+        assert np.array_equal(record.run_phases.view(np.int64), thetas[expected].view(np.int64))
+        assert np.array_equal(record.thetas.view(np.int64), thetas.view(np.int64))
+
+
+def test_a_nan_phase_starts_a_run(monkeypatch):
+    # NaN at a slice's first and last sample and inside one, amid one phase
+    thetas = np.full(3_000, 0.3)
+    thetas[[1_000, 1_999, 2_500]] = np.nan
+    monkeypatch.setattr(homodyne, "_SLICE", 1_000)
+    slices = (thetas[start:start + 1_000] for start in range(0, 3_000, 1_000))
+    starts, phases = homodyne._phase_runs(3_000, slices)
+    assert list(starts) == list(phase_run_starts_whole_record(thetas))
+    assert list(starts) == [0, 1_000, 1_001, 1_999, 2_000, 2_500, 2_501]
+    assert np.array_equal(phases, thetas[starts], equal_nan=True)
+
+
+@pytest.mark.parametrize("recipe", [
+    (coherent_state(1.0, 18), 64, 2_000, 0.85, 20240814),
+    (cat_state(1.5j, np.pi, 26), 16, 2_000, 0.9, 777),
+], ids=["calib-plateau", "cat-scan"])
+def test_sampled_runs_are_the_runs_the_constructor_finds(recipe):
+    record = sample_homodyne(*recipe)
+    built = HomodyneRecord(eta=record.eta, thetas=record.thetas, xs=record.xs, seed=0)
+    assert np.array_equal(record.run_starts, built.run_starts)
+    assert np.array_equal(record.run_phases, built.run_phases)
+    assert record.run_starts.dtype == np.int64 and record.run_starts.size == recipe[1]
 
 
 @pytest.mark.parametrize("name", list(_slice_records()))
@@ -204,12 +239,10 @@ def test_sliced_histogram_matches_per_sample_histogram(monkeypatch, name):
     record = _slice_records()[name]
     monkeypatch.setattr(homodyne, "_SLICE", 1_000)
     grid = BinGrid(-6.0, 6.0, 1_200)
-    # runs found by each call, and runs a scan found once and passes in
-    for run_starts in ({}, {"run_starts": homodyne._phase_run_starts(record.thetas)}):
-        overflows = [_assert_same_histogram(record, q, p, grid, **run_starts)
-                     for q, p in [(0.0, 0.0), (0.7, -1.3), (-2.5, 2.5), (5.5, 5.0)]]
-        # the last two points push samples off the grid
-        assert overflows[-2] > 0 and overflows[-1] > 0
+    overflows = [_assert_same_histogram(record, q, p, grid)
+                 for q, p in [(0.0, 0.0), (0.7, -1.3), (-2.5, 2.5), (5.5, 5.0)]]
+    # the last two points push samples off the grid
+    assert overflows[-2] > 0 and overflows[-1] > 0
 
 
 def _tables():

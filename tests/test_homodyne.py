@@ -399,17 +399,6 @@ def test_shift_overflow_counted_and_empty_rejected():
         shift_and_histogram(record, 50.0, 0.0, grid)
 
 
-@pytest.mark.parametrize("run_starts", [[], [1, 2], [0, 3]],
-                         ids=["empty", "not-from-0", "past-the-record"])
-def test_run_starts_off_the_record_are_refused(run_starts):
-    record = HomodyneRecord(
-        eta=1.0, thetas=np.array([0.0, 0.0, 0.5]), xs=np.array([0.0, 0.1, 0.2]), seed=0,
-    )
-    with pytest.raises(ValidationError, match="run starts must begin at 0 and stay below 3"):
-        shift_and_histogram(record, 0.0, 0.0, BinGrid(-1.0, 1.0, 10),
-                            run_starts=np.array(run_starts, dtype=np.intp))
-
-
 def test_shift_by_nan_counts_every_sample_as_overflow():
     record = HomodyneRecord(
         eta=1.0, thetas=np.array([0.0, 0.0, 0.5]), xs=np.array([0.0, 0.1, 0.2]), seed=0,
@@ -662,6 +651,30 @@ def test_binary_round_trip_across_slices(tmp_path, monkeypatch):
     assert np.array_equal(back.xs, rec.xs)
 
 
+@pytest.mark.parametrize("save, load", [(save_record_text, load_record_text),
+                                        (save_record_binary, load_record_binary)],
+                         ids=["text", "binary"])
+def test_record_bytes_survive_a_reload(tmp_path, monkeypatch, save, load):
+    # with 7-sample slices, runs of 4 and 10 and a swept stretch straddle
+    # slice edges, and runs of 0.0 and -0.0 sit side by side
+    rng = np.random.default_rng(31)
+    thetas = np.concatenate((np.repeat(rng.uniform(0.0, np.pi, 5), 4), np.zeros(10),
+                             np.full(10, -0.0), rng.uniform(0.0, np.pi, 9), np.zeros(4)))
+    rec = HomodyneRecord(eta=0.85, thetas=thetas, xs=rng.normal(0.0, 1.0, thetas.size),
+                         seed=5, source="runs, slices")
+    monkeypatch.setattr(homodyne, "_SLICE", 7)
+    first, second = tmp_path / "first", tmp_path / "second"
+    save(str(first), rec)
+    save(str(second), load(str(first)))
+    assert first.read_bytes() == second.read_bytes()
+    if save is save_record_binary:
+        # the pairs are the per-sample phases beside the xs, as written before
+        pairs = np.column_stack((thetas, rec.xs)).astype("<f8").tobytes()
+        assert first.read_bytes()[homodyne._RECORD_HEADER.size:] == pairs
+    else:
+        assert b"\n0," in first.read_bytes() and b"\n-0," in first.read_bytes()
+
+
 @pytest.mark.parametrize("edit, found", [
     (lambda data: data[:-8], 1592),
     (lambda data: data + b"\0" * 8, 1608),
@@ -705,24 +718,41 @@ def test_reader_and_histogram_stay_within_record_size(tmp_path):
     assert peak <= 4e6
 
 
-def test_per_sample_phases_hold_9_bytes_a_sample_while_binned():
+def test_per_sample_phases_hold_nothing_per_sample_while_binned():
     count = 1_000_000
     rng = np.random.default_rng(6)
     rec = HomodyneRecord(eta=0.85, thetas=rng.uniform(0.0, np.pi, count),
                          xs=rng.normal(0.0, 1.3, count), seed=3)
     hist, peak = _traced_peak(shift_and_histogram, rec, 0.4, -0.2, BinGrid(-8.0, 8.0, 16_000))
     assert hist.total + hist.overflow == count
-    # a run per sample: 1 B of mask and 8 B of run start, beside slice-sized temporaries
-    assert peak <= 9 * count + 4e6
+    # a run per sample, held by the record: binning adds slice-sized temporaries only
+    assert peak <= 4e6
 
 
 def test_phase_run_search_holds_no_per_sample_mask():
-    # one phase over 1M samples: one run start, so all the search holds
-    # beyond its 8-byte result is slice-sized
-    thetas = np.full(1_000_000, 0.3)
-    starts, peak = _traced_peak(homodyne._phase_run_starts, thetas)
-    assert list(starts) == [0]
-    assert peak < 1e6 + starts.nbytes
+    # one phase over 1M samples: one run, so all the constructor's search
+    # holds beyond its 16-byte result is slice-sized
+    thetas, xs = np.full(1_000_000, 0.3), np.zeros(1_000_000)
+    rec, peak = _traced_peak(lambda: HomodyneRecord(eta=0.85, thetas=thetas, xs=xs, seed=3))
+    assert list(rec.run_starts) == [0] and list(rec.run_phases) == [0.3]
+    assert peak < 1e6
+
+
+def test_swept_record_holds_16_bytes_a_sample_of_runs(tmp_path):
+    # a new phase on every sample: 8 B of run start and 8 B of run phase each
+    count = 1_000_000
+    rng = np.random.default_rng(9)
+    thetas, xs = rng.uniform(0.0, np.pi, count), rng.normal(0.0, 1.3, count)
+    rec, peak = _traced_peak(lambda: HomodyneRecord(eta=0.85, thetas=thetas, xs=xs, seed=3))
+    assert rec.run_starts.size == count and np.shares_memory(rec.xs, xs)
+    assert peak <= 16 * count + 4e6
+    path = str(tmp_path / "swept.bin")
+    save_record_binary(path, rec)
+    del rec, thetas, xs
+    back, peak = _traced_peak(load_record_binary, path)
+    # the loaded record's 24 B per sample (xs and runs), and slice-sized temporaries
+    assert back.run_starts.size == count
+    assert peak <= 24 * count + 4e6
 
 
 def test_sampler_peak_does_not_grow_with_the_cpu_count(monkeypatch):
@@ -753,14 +783,16 @@ def test_sampler_draw_temporaries_stay_within_a_per_worker_allowance(monkeypatch
         assert peak <= 16 * phases * events + tables + min(cpus, phases) * per_worker
 
 
-def test_record_checks_finite_samples_without_a_mask():
+def test_record_checks_finite_samples_without_a_mask(monkeypatch):
     count = 1_000_000
     rng = np.random.default_rng(8)
     thetas, xs = rng.uniform(0.0, np.pi, count), rng.normal(0.0, 1.3, count)
+    # slices small enough that the run search's temporaries stay far below 1 MB
+    monkeypatch.setattr(homodyne, "_SLICE", 1_000)
     rec, peak = _traced_peak(lambda: HomodyneRecord(eta=0.85, thetas=thetas, xs=xs, seed=3))
-    assert np.shares_memory(rec.thetas, thetas) and np.shares_memory(rec.xs, xs)
-    # a boolean mask of either column would take 1 MB
-    assert peak <= 64e3
+    assert np.shares_memory(rec.xs, xs)
+    # a boolean mask of either column would take 1 MB beyond the runs' own bytes
+    assert peak <= rec.run_starts.nbytes + rec.run_phases.nbytes + 64e3
 
 
 def test_binary_writer_holds_no_copy_of_the_record(tmp_path):

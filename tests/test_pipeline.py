@@ -135,18 +135,27 @@ def test_grid_scan_matches_pointwise_calls(vacuum_record, vacuum_kernel):
 
 
 def test_grid_scan_finds_the_phase_runs_once(monkeypatch, vacuum_record, vacuum_kernel):
+    # the record finds its runs once, when it is built; the scan searches no
+    # phases and expands none
     searches = []
-    find = emtomo.homodyne._phase_run_starts
+    find = emtomo.homodyne._phase_runs
 
-    def counted(thetas):
-        searches.append(thetas.size)
-        return find(thetas)
+    def counted(size, slices):
+        searches.append(size)
+        return find(size, slices)
 
-    monkeypatch.setattr(emtomo.homodyne, "_phase_run_starts", counted)
-    monkeypatch.setattr(emtomo.pipeline, "_phase_run_starts", counted)
-    grid = reconstruct_wigner_grid(vacuum_record, small_config(max_iter=20), kernel=vacuum_kernel)
+    monkeypatch.setattr(emtomo.homodyne, "_phase_runs", counted)
+    record = HomodyneRecord(eta=vacuum_record.eta, thetas=vacuum_record.thetas,
+                            xs=vacuum_record.xs, seed=vacuum_record.seed)
+    assert searches == [record.sample_count]
+
+    def expanded(self):
+        raise AssertionError("the scan expanded the record's phases")
+
+    monkeypatch.setattr(HomodyneRecord, "thetas", property(expanded))
+    grid = reconstruct_wigner_grid(record, small_config(max_iter=20), kernel=vacuum_kernel)
     assert grid.values.shape == (3, 3) and not grid.failures
-    assert searches == [vacuum_record.sample_count]
+    assert searches == [record.sample_count]
 
 
 def test_grid_fail_soft_records_failures(vacuum_record):
