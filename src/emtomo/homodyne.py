@@ -235,9 +235,9 @@ def _harmonics(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def _phase_density(harmonics: np.ndarray, theta: float) -> np.ndarray:
     """sum_{m,n} rho_mn e^{i(n-m) theta} psi_m psi_n from the rows of
     :func:`_harmonics`, as [1, cos k theta, -sin k theta] @ rows: 2d - 1
-    multiply-adds per point, where psi^T (phased rho) psi took d(d + 1).
-    Building the rows costs as much as 11 phases of the latter at d = 18,
-    14 at d = 26 and 22 at d = 60."""
+    multiply-adds per point, where psi^T (phased rho) psi takes d(d + 1).
+    Building the rows costs as much as several phases of the latter, the
+    more the larger d, so it pays only on a grid that serves many phases."""
     k = float(theta) * np.arange(1, (harmonics.shape[0] + 1) // 2)
     return np.concatenate(([1.0], np.cos(k), -np.sin(k))) @ harmonics
 
@@ -366,8 +366,8 @@ def sample_homodyne(
     table of the CDF.  While the table's total leaves more than
     ``TAB_TAIL_TOL`` of the probability outside, the range is widened by
     half-steps of 1.5x, up to 8 times.  The density comes from the rows of
-    :func:`_harmonics`, built once per grid; a record of fewer than about
-    ten phases pays at most their build.  Samples are drawn by inverse
+    :func:`_harmonics`, built once per grid; a record of few phases pays
+    at most their build.  Samples are drawn by inverse
     transform: uniform draws scaled to the table's total are mapped back
     through the table by linear interpolation, in the order of their 16-bit
     buckets (which walks the table rather than bisecting it at random)

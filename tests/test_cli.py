@@ -459,6 +459,25 @@ def test_readme_commands_parse():
         parser.parse_args(argv)
 
 
+def test_readme_test_pointers_exist():
+    # README cites tests as the proof of its rules; a renamed test must not
+    # leave a pointer to nothing
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    files = re.findall(r"\btests/\w+\.py\b", readme)
+    assert files
+    for name in files:
+        assert (root / name).is_file(), name
+    defined = set()
+    for path in [*root.glob("tests/*.py"), *root.glob("perfbench/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("test_"):
+                defined.add(node.name)
+    cited = set(re.findall(r"\btest_\w+", re.sub(r"\btests/\w+\.py\b", "", readme)))
+    assert cited
+    assert cited <= defined, sorted(cited - defined)
+
+
 def small_config_file(path, **fields):
     import json
 

@@ -13,8 +13,11 @@ from emtomo import (
     PhotonDistribution,
     ValidationError,
     build_kernel_matrix,
+    cat_state,
     default_cutoff,
     reconstruct_photon_distribution,
+    sample_homodyne,
+    shift_and_histogram,
 )
 from emtomo.em import _em_iterate, _log_likelihood
 
@@ -279,6 +282,21 @@ def test_reconstruct_trace_cadence_and_table():
         log_likelihood(counts / hist.total, mirror_rows(kernel.entries, 120), dist.probs),
         rel=0, abs=1e-14,
     )
+
+
+def test_renormalization_removes_only_rounding():
+    # criterion 5's record on the [-8, 8] window, whose n_max 39 columns lose
+    # up to 19% of their mass past the grid edge: the update keeps the
+    # iterate's sum whatever the columns lose, so dividing by the sum
+    # corrects rounding alone
+    record = sample_homodyne(cat_state(1.5j, np.pi, 26), 16, 10_000, 0.9, 777)
+    kernel = build_kernel_matrix(BinGrid(-8.0, 8.0, 1_600), 39, 0.9, max_column_deficit=None)
+    assert kernel.column_deficits.max() > 0.15
+    for q, p in [(0.0, 0.0), (1.2, -1.2), (-4.0, 0.0)]:
+        hist = shift_and_histogram(record, q, p, kernel.grid)
+        _dist, diag = reconstruct_photon_distribution(hist, kernel, max_iter=2_000)
+        assert diag.iterations_run == 2_000
+        assert diag.renorm_correction <= 1e-14, (q, p)
 
 
 def test_reconstruct_flat_start_zero_counts_everywhere_but_center():
