@@ -101,7 +101,8 @@ def _add_state_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=str, default=None,
                         help="complex amplitude, e.g. '1.5j' (coherent, cat)")
     parser.add_argument("--relative-phase", type=str, default="0",
-                        help="cat superposition phase in radians, or 'pi'")
+                        help="cat superposition phase in radians, or 'pi'; '-pi' must be "
+                             "joined to the flag: --relative-phase=-pi")
     parser.add_argument("--dim", type=int, default=None,
                         help="Fock-space truncation (default: sized from the state)")
 

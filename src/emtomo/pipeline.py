@@ -56,6 +56,8 @@ _FLOAT_MAX = float(np.finfo(float).max)
 # Config fields that count bins, axis steps or iterations; numpy sizes stop at intp.
 _COUNT_FIELDS = ("bin_count", "q_steps", "p_steps", "max_iter")
 _MAX_COUNT = int(np.iinfo(np.intp).max)
+# A grid point's results, in grid-file column order after q and p.
+_POINT_COLUMNS = ("values", "iterations", "final_loglik", "overflow_fraction", "rho_tail")
 
 
 def wigner_from_distribution(probs) -> float:
@@ -191,8 +193,7 @@ class WignerGrid:
         if self.qs.size == 0 or self.ps.size == 0:
             raise ValidationError("a Wigner grid needs at least one q and one p")
         shape = (self.qs.size, self.ps.size)
-        for name in ("values", "iterations", "final_loglik", "overflow_fraction",
-                     "rho_tail"):
+        for name in _POINT_COLUMNS:
             arr = np.asarray(getattr(self, name),
                              dtype=np.int64 if name == "iterations" else float)
             if arr.shape != shape:
@@ -237,12 +238,8 @@ def reconstruct_wigner_grid(
         _check_column_deficits(kernel, config.max_column_deficit)
     qs = config.q_axis()
     ps = config.p_axis()
-    shape = (qs.size, ps.size)
-    values = np.full(shape, np.nan)
-    iterations = np.zeros(shape, dtype=np.int64)
-    final_loglik = np.full(shape, np.nan)
-    overflow = np.full(shape, np.nan)
-    rho_tail = np.full(shape, np.nan)
+    table = np.full((len(_POINT_COLUMNS), qs.size, ps.size), np.nan)
+    table[_POINT_COLUMNS.index("iterations")] = 0
     failures: dict = {}
     last_error: Exception | None = None
     for i, q in enumerate(qs.tolist()):
@@ -263,11 +260,8 @@ def reconstruct_wigner_grid(
                 last_error = exc
                 logger.warning("point (%g, %g) failed: %s", q, p, exc)
                 continue
-            values[i, j] = wigner_from_distribution(dist.probs)
-            iterations[i, j] = diag.iterations_run
-            final_loglik[i, j] = diag.final_loglik
-            overflow[i, j] = overflow_fraction
-            rho_tail[i, j] = dist.probs[-2:].sum()
+            table[:, i, j] = (wigner_from_distribution(dist.probs), diag.iterations_run,
+                              diag.final_loglik, overflow_fraction, dist.probs[-2:].sum())
         logger.info("grid row %d/%d done", i + 1, qs.size)
     if len(failures) == qs.size * ps.size:
         raise type(last_error)(
@@ -276,11 +270,8 @@ def reconstruct_wigner_grid(
     meta = {str(k): _meta_str(v) for k, v in asdict(config).items()}
     meta["kind"] = "reconstruction"
     meta["n_max"] = _meta_str(n_max)
-    return WignerGrid(
-        qs=qs, ps=ps, values=values, iterations=iterations,
-        final_loglik=final_loglik, overflow_fraction=overflow,
-        rho_tail=rho_tail, failures=failures, meta=meta,
-    )
+    return WignerGrid(qs=qs, ps=ps, **dict(zip(_POINT_COLUMNS, table)),
+                      failures=failures, meta=meta)
 
 
 def _meta_str(value) -> str:
@@ -293,11 +284,12 @@ def _meta_str(value) -> str:
 
 
 _GRID_MAGIC_LINE = "# emtomo wigner grid v1"
-_GRID_COLUMNS = "q p w iterations final_loglik overflow_fraction rho_tail"
+_GRID_COLUMNS = "q p w " + " ".join(_POINT_COLUMNS[1:])
 
 
 def save_wigner_grid(path: str, grid: WignerGrid) -> None:
-    """Write a grid as a plain-text table.
+    """Write a grid as a plain-text table: one row per point, q and p and
+    then the point's columns in ``_POINT_COLUMNS`` order.
 
     Output is deterministic for identical inputs except the timestamp, which
     stays confined to its own comment line.  A meta key, meta value or
@@ -319,19 +311,18 @@ def save_wigner_grid(path: str, grid: WignerGrid) -> None:
         _check_line_text("a grid failure note", str(message))
         lines.append(f"# failed {i} {j} {message}")
     lines.append(f"# columns: {_GRID_COLUMNS}")
-    for i, qv in enumerate(grid.qs):
-        for j, pv in enumerate(grid.ps):
-            lines.append(
-                f"{qv:.17g} {pv:.17g} {grid.values[i, j]:.17g} "
-                f"{int(grid.iterations[i, j])} {grid.final_loglik[i, j]:.17g} "
-                f"{grid.overflow_fraction[i, j]:.17g} {grid.rho_tail[i, j]:.17g}"
-            )
+    # An iteration count below 2**53 is exact as a float, and .17g prints its digits.
+    table = np.stack([getattr(grid, name) for name in _POINT_COLUMNS], axis=-1).tolist()
+    for qv, row in zip(grid.qs.tolist(), table):
+        for pv, point in zip(grid.ps.tolist(), row):
+            lines.append(" ".join(f"{v:.17g}" for v in (qv, pv, *point)))
     data = ("\n".join(lines) + "\n").encode()
     _write_atomically(path, lambda fh: fh.write(data))
 
 
 def load_wigner_grid(path: str) -> WignerGrid:
-    """Read a grid table written by :func:`save_wigner_grid`."""
+    """Read a grid table written by :func:`save_wigner_grid`; the columns
+    after q and p follow ``_POINT_COLUMNS``."""
     meta: dict = {}
     failures: dict = {}
     q_steps = p_steps = None
@@ -365,10 +356,9 @@ def load_wigner_grid(path: str) -> WignerGrid:
                     noted.append((lineno, i, j))
                 continue
             parts = line.split()
-            if len(parts) != 7:
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected 7 columns, got {len(parts)}"
-                )
+            if len(parts) != 2 + len(_POINT_COLUMNS):
+                raise FileFormatError(f"{path}:{lineno}: expected "
+                                      f"{2 + len(_POINT_COLUMNS)} columns, got {len(parts)}")
             try:
                 rows.append([float(v) for v in parts])
             except ValueError as exc:
@@ -396,14 +386,9 @@ def load_wigner_grid(path: str) -> WignerGrid:
         raise FileFormatError(f"{path}: data row {k + 1} states (q={data[k, 0]:.17g}, "
                               f"p={data[k, 1]:.17g}), not its grid position "
                               f"(q={at[k, 0]:.17g}, p={at[k, 1]:.17g})")
-    def grab(col):
-        return data[:, col].reshape(q_steps, p_steps)
-    return WignerGrid(
-        qs=qs, ps=ps, values=grab(2),
-        iterations=grab(3),
-        final_loglik=grab(4), overflow_fraction=grab(5), rho_tail=grab(6),
-        failures=failures, meta=meta,
-    )
+    table = data[:, 2:].T.reshape(len(_POINT_COLUMNS), q_steps, p_steps)
+    return WignerGrid(qs=qs, ps=ps, **dict(zip(_POINT_COLUMNS, table)),
+                      failures=failures, meta=meta)
 
 
 def _header_int(path: str, lineno: int, text: str) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import emtomo
-from emtomo import load_record, load_wigner_grid
+from emtomo import HomodyneRecord, load_record, load_wigner_grid, save_record_binary
 from emtomo.cli import build_parser, main
 
 
@@ -153,7 +153,13 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--state", "squeezed", "--n-max", "4", "--out", "never.txt"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    # "-pi" after a space reads as an option, so --relative-phase has no value
+    for command in ("simulate", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main(_state_run(command, ["--state", "cat", "--alpha", "1", "--relative-phase",
+                                      "-pi"], "never.txt"))
+        assert exc.value.code == 2
+        assert "--relative-phase: expected one argument" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):
@@ -198,6 +204,30 @@ def test_config_errors_exit_3(workdir, tmp_path, capsys):
     assert rc == 3
     capsys.readouterr()
 
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    argv = ["reconstruct", "--config", str(listed), "--record", str(workdir / "rec.txt"),
+            "--out", str(tmp_path / "never.txt")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {listed}: config must be a JSON object"]
+    for flag, lost in (("--record", "record"), ("--out", "output")):
+        argv = recon_args(workdir, out="never.txt")
+        del argv[argv.index(flag):argv.index(flag) + 2]
+        assert main(argv) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config: no {lost} file given")
+    grids = []
+    for q_steps in ("2", "3"):
+        grids.append(str(tmp_path / f"oracle{q_steps}.txt"))
+        assert main(["oracle", "--state", "vacuum", "--n-max", "20", "--q-min", "-1",
+                     "--q-max", "1", "--q-steps", q_steps, "--p-min", "-1", "--p-max", "1",
+                     "--p-steps", "2", "--out", grids[-1]]) == 0
+    capsys.readouterr()
+    assert main(["compare", *grids]) == 3
+    assert capsys.readouterr().err.splitlines() == ["error: config: grids have different shapes"]
+    assert not (tmp_path / "never.txt").exists()
+
 
 @pytest.mark.parametrize("flags", [
     ["--seed", "-1"],
@@ -225,6 +255,19 @@ def test_format_errors_exit_4(tmp_path, capsys):
     rc = main(["plot", str(mangled), "--out-prefix", str(tmp_path / "f")])
     assert rc == 4
     capsys.readouterr()
+    binary = tmp_path / "rec.bin"
+    save_record_binary(str(binary), HomodyneRecord(eta=0.9, thetas=[0.0, 1.0],
+                                                   xs=[0.1, 0.2], seed=1))
+    version_2 = bytearray(binary.read_bytes())
+    version_2[8:12] = (2).to_bytes(4, "little")  # the header's version field
+    for data, message in ((binary.read_bytes()[:103], "truncated record header"),
+                          (bytes(version_2), "unsupported record version 2")):
+        binary.write_bytes(data)
+        rc = main(["reconstruct", "--record", str(binary), "--out", str(tmp_path / "g.txt"),
+                   "--n-max", "4"])
+        assert rc == 4
+        assert capsys.readouterr().err.splitlines() == [f"error: format: {binary}: {message}"]
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_missing_file_exits_4(tmp_path, capsys):
@@ -343,6 +386,8 @@ _KINDS = {
     "fock": ["--state", "fock", "--n", "2"],
     "coherent": ["--state", "coherent", "--alpha", "0.5+0.25j"],
     "cat": ["--state", "cat", "--alpha", "1.5j", "--relative-phase", "pi"],
+    # a value starting with "-" reaches the flag only when joined to it
+    "cat-minus-pi": ["--state", "cat", "--alpha", "1.5j", "--relative-phase=-pi"],
 }
 _ORIGIN = ["--n-max", "40", "--q-min", "0", "--q-max", "0", "--q-steps", "1",
            "--p-min", "0", "--p-max", "0", "--p-steps", "1"]
@@ -364,6 +409,7 @@ def _state_run(command, flags, out):
     ("coherent", "20", "coherent(alpha=(0.5+0.25j)) dim=20"),
     ("cat", None, "cat(alpha=1.5j, relative_phase=3.14159) dim=22"),
     ("cat", "26", "cat(alpha=1.5j, relative_phase=3.14159) dim=26"),
+    ("cat-minus-pi", None, "cat(alpha=1.5j, relative_phase=-3.14159) dim=22"),
 ])
 def test_state_flags_give_the_source_label(tmp_path, capsys, kind, dim, label):
     flags = _KINDS[kind] + ([] if dim is None else ["--dim", dim])

@@ -93,6 +93,8 @@ def test_histogram_validation():
     kernel = build_kernel_matrix(grid, 0, 1.0, max_column_deficit=None)
     with pytest.raises(EmptyHistogramError):
         reconstruct_photon_distribution(empty, kernel, max_iter=1)
+    with pytest.raises(ValidationError, match="^max_iter must be >= 1, got 0$"):
+        reconstruct_photon_distribution(empty, kernel, max_iter=0)
 
 
 def test_photon_distribution_validation():
@@ -101,6 +103,10 @@ def test_photon_distribution_validation():
         PhotonDistribution(np.array([0.5, 0.6]))
     with pytest.raises(ValidationError):
         PhotonDistribution(np.array([1.2, -0.2]))
+    with pytest.raises(ValidationError, match="nonempty vector"):
+        PhotonDistribution([])
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        PhotonDistribution([np.nan, 1.0])
     # the tolerance is adjustable for sub-normalized truncations
     PhotonDistribution(np.array([0.5, 0.49999999]), atol=1e-7)
     assert np.arange(2) @ PhotonDistribution(np.array([0.5, 0.5])).probs == pytest.approx(0.5)

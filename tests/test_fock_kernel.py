@@ -298,6 +298,11 @@ def test_kernel_validation():
         build_kernel_matrix(BinGrid(-5.0, 5.0, 100), 5, 0.0)
     with pytest.raises(ValidationError):
         build_kernel_matrix(BinGrid(-5.0, 5.0, 100), 5, 1.2)
+    with pytest.raises(ValidationError, match="efficiency must be a number, got True"):
+        build_kernel_matrix(BinGrid(-5.0, 5.0, 100), 3, True)
+    kernel = build_kernel_matrix(BinGrid(-5.0, 5.0, 100), 3, 0.9)
+    with pytest.raises(ValidationError, match=r"shape \(50, 3\) != \(50, 4\)"):
+        KernelMatrix(grid=kernel.grid, n_max=3, eta=0.9, entries=kernel.entries[:, :3])
 
 
 @pytest.mark.parametrize("bad", [-1e-300, np.nan, np.inf])
@@ -376,6 +381,10 @@ def test_kernel_cache_rejects_malformed_files(tmp_path):
     Path(truncated).write_bytes(blob[:-16])
     with pytest.raises(FileFormatError):
         load_kernel(truncated)
+    negative = os.fspath(tmp_path / "negative.bin")  # header n_max -1, at bytes 40-47
+    Path(negative).write_bytes(blob[:40] + (-1).to_bytes(8, "little", signed=True) + blob[48:])
+    with pytest.raises(FileFormatError, match="invalid kernel dimensions 30 x 0"):
+        load_kernel(negative)
 
 
 def _as_version_1(blob):

@@ -137,6 +137,8 @@ def test_state_spec_validation():
         StateSpec(2, np.array([[1.5, 0.0], [0.0, -0.5]], dtype=complex))  # negative
     with pytest.raises(ValidationError):
         StateSpec(3, good)  # shape
+    with pytest.raises(ValidationError, match="non-finite entries"):
+        StateSpec(2, np.where(np.eye(2) == 1, good, np.nan))
 
 
 # ---------------------------------------------------------------- loss
@@ -596,7 +598,7 @@ def test_record_source_with_a_nul_refused(tmp_path, save, source):
     assert os.listdir(tmp_path) == ["rec"]
 
 
-def test_record_malformed_files_rejected(tmp_path):
+def test_record_malformed_files_rejected(tmp_path, monkeypatch):
     missing = tmp_path / "missing_header.txt"
     missing.write_text("seed=1\nsource=x\n0.0,1.0\n")
     with pytest.raises(FileFormatError):
@@ -615,6 +617,21 @@ def test_record_malformed_files_rejected(tmp_path):
     trunc.write_bytes(trunc.read_bytes()[:-8])
     with pytest.raises(FileFormatError):
         load_record_binary(str(trunc))
+    foreign = tmp_path / "foreign.bin"
+    foreign.write_bytes(b"NOTARECD" + trunc.read_bytes()[8:])
+    with pytest.raises(FileFormatError, match="not a binary homodyne record"):
+        load_record_binary(str(foreign))
+    # a file that shrinks by one pair between the size check and the read
+    shrunk = tmp_path / "shrunk.bin"
+    save_record_binary(str(shrunk), rec)
+    full = shrunk.stat().st_size
+    shrunk.write_bytes(shrunk.read_bytes()[:-16])
+    payload = 16 * rec.sample_count
+    with monkeypatch.context() as m:
+        m.setattr(homodyne.os, "fstat", lambda fd: os.stat_result((0,) * 6 + (full,) + (0,) * 3))
+        with pytest.raises(FileFormatError, match=f"expected {payload} bytes of sample data, "
+                                                  f"found {payload - 16}$"):
+            load_record_binary(str(shrunk))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -770,17 +787,18 @@ def test_sampler_peak_does_not_grow_with_the_cpu_count(monkeypatch):
 def test_sampler_draw_temporaries_stay_within_a_per_worker_allowance(monkeypatch):
     # 4 phases of 200k events: a drawing worker holds its draws, their order,
     # the sorted draws and their inverted values, 32 B per event of its phase,
-    # beside the 16 B per sample of the record and the wavefunction table and
-    # its product with the phased matrix (8 B per level and grid point each)
+    # beside the record's 8 B per sample of xs (its phases are runs) and a
+    # grid's build: psi (d rows), the 2d - 1 harmonic rows and a (d - 1)-row
+    # product buffer, 4d - 2 rows of 8 B per grid point
     state = coherent_state(1.0, 18)
     phases, events = 4, 200_000
     points = 2 * homodyne.TAB_RANGE / homodyne.TAB_STEP + 1
-    tables = 2 * 8 * state.dim * points
+    tables = 8 * (4 * state.dim - 2) * points
     per_worker = 32 * events
     for cpus in (1, 8):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)))
         _, peak = _traced_peak(sample_homodyne, state, phases, events, 0.85, 777)
-        assert peak <= 16 * phases * events + tables + min(cpus, phases) * per_worker
+        assert peak <= 8 * phases * events + tables + min(cpus, phases) * per_worker
 
 
 def test_record_checks_finite_samples_without_a_mask(monkeypatch):

@@ -213,6 +213,13 @@ def test_s_ordered_vacuum_closed_form_at_a_modest_cutoff(s):
     assert abs(value - expected) <= 1e-15
 
 
+def test_phase_space_points_validated():
+    with pytest.raises(ValidationError, match="equal length"):
+        wigner_exact_grid(vacuum_state(), [0.0, 1.0], [0.0], 20)
+    with pytest.raises(ValidationError, match="must be finite"):
+        wigner_exact_grid(vacuum_state(), [0.0, np.nan], [0.0, 1.0], 20)
+
+
 def test_s_ordered_validation():
     with pytest.raises(ValidationError):
         s_ordered_quasidistribution(vacuum_state(), 0.0, 0.0, 0.0, 20)

@@ -92,6 +92,8 @@ def test_config_json_round_trip(tmp_path):
     path.write_text(json.dumps({"eta": 0.9, "n_max": 5, "bogus_key": 1}))
     with pytest.raises(ValidationError):
         ReconstructionConfig.from_dict(_read_config_object(str(path)))
+    with pytest.raises(ValidationError, match="^config must set eta$"):
+        ReconstructionConfig.from_dict({"n_max": 5})
 
 
 def test_point_reconstruction_hits_vacuum_wigner(vacuum_record, vacuum_kernel):
@@ -281,6 +283,34 @@ def test_grid_built_from_lists_round_trips(tmp_path):
     assert back.failures == {(1, 0): "failed"}
 
 
+def test_grid_row_bytes_match_per_value_formatting(tmp_path):
+    qs = np.array([-0.0, 1.0 / 3.0])
+    ps = np.array([0.1 + 0.2, 2.0])
+    columns = {  # point (0, 0) failed: NaN in every float column and 0 iterations
+        "values": [[np.nan, -0.0], [5e-324, 1e308]],
+        "iterations": [[0, 10**15], [2000, 7]],
+        "final_loglik": [[np.nan, -1.5], [-0.0, -1e308]],
+        "overflow_fraction": [[np.nan, 5e-324], [0.0, 1e-3]],
+        "rho_tail": [[np.nan, 1e-300], [1.0 / 3.0, 1e308]],
+    }
+    grid = WignerGrid(qs=qs, ps=ps, failures={(0, 0): "failed"}, **columns)
+    path = tmp_path / "grid.txt"
+    save_wigner_grid(str(path), grid)
+    header = b"# columns: q p w iterations final_loglik overflow_fraction rho_tail\n"
+    assert path.read_bytes().count(header) == 1
+    rows = path.read_bytes().split(header)[1]
+    w, its, ll, ovf, tail = (np.asarray(v) for v in columns.values())
+    expected = "".join(
+        f"{q:.17g} {p:.17g} {w[i, j]:.17g} {int(its[i, j])} {ll[i, j]:.17g} "
+        f"{ovf[i, j]:.17g} {tail[i, j]:.17g}\n"
+        for i, q in enumerate(qs) for j, p in enumerate(ps))
+    assert rows == expected.encode()
+    back = load_wigner_grid(str(path))
+    for name, column in columns.items():
+        assert np.array_equal(getattr(back, name), column, equal_nan=True)
+    assert np.signbit(back.values[0, 1]) and back.iterations[0, 1] == 10**15
+
+
 def test_grid_file_deterministic_apart_from_timestamp(tmp_path, vacuum_record,
                                                       vacuum_kernel):
     cfg = small_config(max_iter=60)
@@ -329,6 +359,8 @@ def test_compare_grids_norms_and_validation():
     norms = compare_wigner_grids(a, mk(vals))
     assert norms["compared_points"] == 8
     assert norms["skipped_points"] == 1
+    with pytest.raises(ValidationError, match="share no finite points"):
+        compare_wigner_grids(a, mk(np.where(np.eye(3) == 1, np.nan, np.inf)))
     with pytest.raises(ValidationError):
         compare_wigner_grids(a, WignerGrid(
             qs=qs + 0.5, ps=ps, values=np.zeros((3, 3)),
