@@ -263,7 +263,7 @@ class HomodyneRecord:
     """
 
     def __init__(self, eta: float, thetas, xs, seed: int, source: str = ""):
-        # reshape, unlike ravel, keeps a strided column (a text record's) a view
+        # reshape, unlike ravel, keeps a strided column a view
         thetas = np.asarray(thetas, dtype=float).reshape(-1)
         xs = np.asarray(xs, dtype=float).reshape(-1)
         if thetas.shape != xs.shape:
@@ -273,7 +273,7 @@ class HomodyneRecord:
 
     @classmethod
     def _from_runs(cls, eta, run_starts, run_phases, xs, seed, source) -> HomodyneRecord:
-        """A record of runs already found (the sampler's and the binary reader's)."""
+        """A record of runs already found (the sampler's and the readers')."""
         return cls.__new__(cls)._store(eta, run_starts, run_phases, xs, seed, source)
 
     def _store(self, eta, run_starts, run_phases, xs, seed, source) -> HomodyneRecord:
@@ -528,108 +528,75 @@ def save_record_text(path: str, record: HomodyneRecord) -> None:
         "%.17g,%.17g\n" * len(pairs) % tuple(pairs.ravel().tolist())).encode())
 
 
-def _header_line(line: str, header: dict[str, str]) -> bool:
-    """Whether a stripped text-record line is blank, a comment or a header.
-
-    A header is stored in ``header``.  Its value may hold commas (a cat
-    state's source label): a line is a header when no comma precedes its "=".
-    """
-    if not line or line.startswith("#"):
-        return True
-    if "=" in line and "," not in line.partition("=")[0]:
-        key, _, value = line.partition("=")
-        header[key.strip()] = value.strip()
-        return True
-    return False
-
-
-def _read_text_by_line(path: str, fh):
-    """Header, thetas and xs of a text record, parsed one line at a time.
-
-    This loop states the line grammar and words every malformed line's error.
-    """
-    header: dict[str, str] = {}
-    thetas: list[float] = []
-    xs: list[float] = []
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if _header_line(line, header):
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise FileFormatError(f"{path}:{lineno}: expected 'theta,x', got {line!r}")
-        try:
-            thetas.append(float(parts[0]))
-            xs.append(float(parts[1]))
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
-    return header, np.asarray(thetas), np.asarray(xs)
-
-
-def _read_text_in_bulk(fh):
-    """Header, thetas and xs of a text record whose samples numpy parses.
-
-    Returns None when the lines after the header block are not all
-    ``theta,x`` pairs that ``np.loadtxt`` reads, so the per-line loop must
-    decide.  The samples are parsed from the path of ``fh``, which numpy
-    reads in large chunks (an open file it would read line by line), into
-    one (n, 2) array with one row more than the lines after the header: it
-    never grows, a full array shows a parse that stopped early, and numpy
-    trims at most that row, so a freed record's block still fits the next
-    record of its length (a larger trim leaves it too small, and each load
-    then takes fresh memory).  numpy decodes the path as strict UTF-8,
-    so a file with an undecodable byte goes to the per-line loop too.
-    """
-    path = os.fsdecode(fh.name)
-    if "://" in path or path.endswith(_DECOMPRESSED_SUFFIXES):
-        return None  # numpy would fetch or decompress it
-    lines = 0
-    chunk = "\n"
-    for chunk in iter(partial(fh.read, 1 << 16), ""):
-        if any(sep in chunk for sep in _SEPARATORS):
-            return None
-        lines += chunk.count("\n")
-    lines += not chunk.endswith("\n")  # an unterminated last line
-    fh.seek(0)
-    header: dict[str, str] = {}
-    for skip, line in enumerate(fh):
-        if not _header_line(line.strip(), header):
-            break
-    else:
-        return None  # no sample line
-    slots = lines - skip + 1
-    with warnings.catch_warnings():
-        # numpy notes that a blank line (skipped by both readers) is no row
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            pairs = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=2,
-                               max_rows=slots, encoding="utf-8")
-        except ValueError:  # UnicodeDecodeError included
-            return None
-    # An unfilled last row shows the parse reached the end of the file.
-    if pairs.shape[1] != 2 or len(pairs) >= slots:
-        return None
-    return header, pairs[:, 0], pairs[:, 1]
-
-
 def load_record_text(path: str) -> HomodyneRecord:
     """Read a text record written by :func:`save_record_text`.
 
-    The header block is read line by line and the samples after it in one
-    ``np.loadtxt`` pass, whose phase column the record takes into runs and
-    whose x column is its xs.  A file that pass refuses or reads as other than two columns (a
-    header or comment after the first sample, a whitespace-only line, a
-    number such as ``1_0`` that ``float`` reads and numpy does not) is read
-    again by the per-line loop, which gives the record or the error.
+    A record is a block of ``key=value`` headers, ``#`` comments and blank
+    lines, then ``theta,x`` lines that ``np.loadtxt`` reads as two numbers
+    each, and blank lines.  A line is a header when no comma precedes its
+    first "=", so a value may hold commas (a cat state's source label).
+    Anything else after the first sample line is a :class:`FileFormatError`
+    that gives numpy's row and column, or the column count.
+
+    A pre-pass counts the lines and refuses an ASCII separator in a sample
+    line, which numpy would strip from a number.  The header block is read
+    line by line, then the samples in one ``np.loadtxt`` pass over the path,
+    which numpy reads in large chunks, into one (n, 2) array sized up front
+    to the lines after the header block plus one, so it never grows.  numpy
+    reads the open file instead (line by line) where it would fetch or
+    decompress the path, or where the pre-pass saw U+FFFD, which the path's
+    strict decoding would refuse in a ``source=`` header.  The phase column
+    is taken into runs, the x column moved into the array's first half one
+    slice at a time, and the array shrunk to it: the record's ``xs``.
     """
     # As in the binary reader's source field, undecodable bytes become U+FFFD,
     # so they fail to parse as numbers instead of raising UnicodeDecodeError.
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        parsed = _read_text_in_bulk(fh)
-        if parsed is None:
-            fh.seek(0)
-            parsed = _read_text_by_line(path, fh)
-    header, thetas, xs = parsed
+        lines, last_separator, replaced, chunk = 0, -1, False, "\n"
+        for chunk in iter(partial(fh.read, 1 << 16), ""):
+            at = max(map(chunk.rfind, _SEPARATORS))
+            if at >= 0:
+                last_separator = lines + chunk.count("\n", 0, at)
+            replaced = replaced or "\ufffd" in chunk
+            lines += chunk.count("\n")
+        lines += not chunk.endswith("\n")  # an unterminated last line
+        fh.seek(0)
+        header: dict[str, str] = {}
+        skip = lines  # the first sample line, if there is one
+        for index, line in enumerate(map(str.strip, fh)):
+            if not line or line.startswith("#"):
+                continue
+            key, eq, value = line.partition("=")
+            if not eq or "," in key:
+                skip = index
+                break
+            header[key.strip()] = value.strip()
+        if last_separator >= skip:
+            raise FileFormatError(f"{path}:{last_separator + 1}: an ASCII separator "
+                                  "(U+001C to U+001F) in a sample line")
+        name = os.fsdecode(fh.name)
+        fetched = "://" in name or name.endswith(_DECOMPRESSED_SUFFIXES)
+        fh.seek(0)
+        with warnings.catch_warnings():
+            # numpy warns of the blank lines it skips and of a file without samples
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                pairs = np.loadtxt(fh if fetched or replaced else name, delimiter=",",
+                                   comments=None, skiprows=skip, ndmin=2,
+                                   max_rows=lines - skip + 1, encoding="utf-8")
+            except ValueError as exc:
+                # numpy's advice to pass ``usecols`` does not apply to a record
+                raise FileFormatError(f"{path}: {str(exc).partition('; use')[0]}") from exc
+    count = len(pairs)
+    if count and pairs.shape[1] != 2:
+        raise FileFormatError(f"{path}: expected 2 columns (theta,x), got {pairs.shape[1]}")
+    runs = _phase_runs(count, (pairs[start:start + _SLICE, 0]
+                               for start in range(0, count, _SLICE)))
+    for start in range(0, count, _SLICE):
+        # each slice lands before the x values still to be read
+        stop = min(start + _SLICE, count)
+        pairs.reshape(-1)[start:stop] = pairs[start:stop, 1]
+    pairs.resize(count, refcheck=False)
     for key in ("eta", "seed"):
         if key not in header:
             raise FileFormatError(f"{path}: missing {key}= header")
@@ -639,8 +606,7 @@ def load_record_text(path: str) -> HomodyneRecord:
     except ValueError as exc:
         raise FileFormatError(f"{path}: malformed header: {exc}") from exc
     try:
-        return HomodyneRecord(eta=eta, thetas=thetas, xs=xs,
-                              seed=seed, source=header.get("source", ""))
+        return HomodyneRecord._from_runs(eta, *runs, pairs, seed, header.get("source", ""))
     except ValidationError as exc:
         raise FileFormatError(f"{path}: {exc}") from exc
 

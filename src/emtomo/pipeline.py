@@ -158,6 +158,8 @@ def _check_field_type(name: str, value) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
     if kind == "str":  # a path, which a grid file keeps in a meta line
         _check_line_text(name, value)
+        if "\x00" in value:  # no file name holds one
+            raise ValidationError(f"{name} cannot hold a NUL character: {value!r}")
 
 
 def _read_config_object(path: str) -> dict:

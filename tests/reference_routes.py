@@ -23,7 +23,10 @@ bins of |x|), a shifted histogram that evaluates cos and sin at every sample
 and tests each |x| against the range on its own, with no spill bin, a
 search for the runs of equal phases over the whole record at once, an
 inverse-CDF lookup of a sampler's draws in the order they were drawn, and a
-text-record reader that parses every line with ``float``.
+text-record reader that parses every line with ``float``.  That reader's
+grammar is the looser one (a header or comment may follow a sample, and
+``float`` reads ``1_0`` and non-ASCII digits): the package's reader may
+refuse a file it reads, but a record the package reads must be its record.
 """
 
 import numpy as np
@@ -300,8 +303,10 @@ def draws_in_draw_order(u: np.ndarray, cdf: np.ndarray, grid: np.ndarray) -> np.
 
 
 def load_record_text_per_line(path: str) -> HomodyneRecord:
-    """A text record parsed one line at a time with ``float``; the reference
-    that ``load_record_text`` must match in record and error message."""
+    """A text record parsed one line at a time with ``float``, taking a
+    header or comment wherever it comes.  ``load_record_text`` must give
+    this record, bit for bit, wherever it gives one, and refuse wherever
+    this reader refuses; its narrower grammar refuses some files read here."""
     header: dict[str, str] = {}
     thetas: list[float] = []
     xs: list[float] = []

@@ -589,12 +589,29 @@ def test_config_asymmetric_grid_exits_3(workdir, tmp_path, capsys):
     assert not (tmp_path / "never.txt").exists()
 
 
-# a line break would split the path's meta line in the grid file, and the
-# grid reader strips what starts or ends that line
+@pytest.mark.parametrize("body", [
+    "1,2\neta=0.6\n", "1,2\n# note\n", "1,2\n \t\n", "1_0,2\n", "\u0661,2\n",
+    "1,2\neta=0.6\nseed=2\nsource=b\n3,4\n",
+], ids=["header-after-data", "comment-after-data", "whitespace-line", "underscore",
+        "arabic-indic-digit", "concatenated-records"])
+def test_text_records_outside_the_grammar_exit_4(tmp_path, capsys, body):
+    # each loads under a per-line float parse; the reader's grammar refuses it
+    record = tmp_path / "rec.txt"
+    record.write_text("eta=0.9\nseed=1\nsource=a\n0.5,1.5\n" + body, encoding="utf-8")
+    rc = main(["reconstruct", "--record", str(record), "--out", str(tmp_path / "g.txt"),
+               "--n-max", "4"])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: format: {record}: ")
+    assert not (tmp_path / "g.txt").exists()
+
+
+# a line break would split the path's meta line in the grid file, the
+# grid reader strips what starts or ends that line, and no file name holds a NUL
 @pytest.mark.parametrize("value", [["a"], 1.5, {"a": 1}, "d/rec\n1 2 3 4 5 6 7.txt", "rec\r.txt",
-                                   " rec.txt", "rec.txt "],
+                                   " rec.txt", "rec.txt ", "rec\x00.txt"],
                          ids=["list", "float", "object", "newline", "carriage-return",
-                              "leading-blank", "trailing-blank"])
+                              "leading-blank", "trailing-blank", "nul"])
 @pytest.mark.parametrize("field", ["record_path", "output_path", "kernel_cache"])
 def test_config_path_types_checked(workdir, tmp_path, monkeypatch, capsys, field, value):
     # An int or a bool would name a file descriptor of this process, so none is used.

@@ -7,8 +7,8 @@ cache) run on every mutant.  JSON config files, one with ``n_max`` and one
 with ``localization_radius``, are mutated the same way and read by
 ``reconstruct --config``.  Each run must succeed or end in a documented
 exit code with exactly one ``error:`` line on stderr, never a traceback.
-Text-record mutants and named edge cases must also read exactly as the
-per-line reference reader reads them.
+A text record that ``load_record_text`` reads from a mutant or a named
+edge case must also be the per-line reference reader's, bit for bit.
 """
 
 import json
@@ -185,7 +185,7 @@ def _text_read(load, path):
 HEAD = "eta=0.9\nseed=1\nsource=s, with a comma\n"
 
 
-@pytest.mark.parametrize("text, bulk", [
+@pytest.mark.parametrize("text, accepted", [
     (HEAD + "0.5,1.5\n1,-0\n", True),
     (HEAD + "0.5,1.5\neta=0.7\n1,2\n", False),
     (HEAD + "0.5,1.5\n# note\n1,2\n", False),
@@ -200,35 +200,43 @@ HEAD = "eta=0.9\nseed=1\nsource=s, with a comma\n"
     (HEAD + "0.5,1.5,2.5\n1,2,3\n", False),
     (HEAD + "0.5\n1\n", False),
     (HEAD, False),
-    (HEAD + "0.5,nan\n", True),
-    (HEAD + "1e999,0.5\n", True),
+    (HEAD + "0.5,nan\n", False),
+    (HEAD + "1e999,0.5\n", False),
+    (HEAD + "0.5,1.5\n1,2\n" + "eta=0.6\nseed=2\nsource=b\n0.25,1\n", False),
+    ("eta=0.9\nseed=1\nsource=s \udcff\n0.5,1.5\n", True),
+    (HEAD + "0.5,1.5\n1,abc\n", False),
+    (HEAD + "0.5,1.5\n1,2\ufffd\n", False),
 ], ids=["clean", "header-after-data", "mid-body-comment", "blank-lines", "whitespace-line",
         "crlf", "no-final-newline", "underscore", "arabic-indic-digit", "ascii-separator",
-        "trailing-comma", "three-fields", "one-field", "header-only", "nan", "1e999"])
-def test_text_reader_matches_per_line_reader(tmp_path, monkeypatch, text, bulk):
-    path = tmp_path / "rec.txt"
-    path.write_bytes(text.encode())
-    parses = []
-    in_bulk = homodyne._read_text_in_bulk
-
-    def spy(fh):
-        parses.append(in_bulk(fh))
-        return parses[-1]
-
-    monkeypatch.setattr(homodyne, "_read_text_in_bulk", spy)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no numpy warning may escape the reader
-        got = _text_read(homodyne.load_record_text, str(path))
-    assert got == _text_read(load_record_text_per_line, str(path))
-    assert (parses[0] is not None) == bulk
+        "trailing-comma", "three-fields", "one-field", "header-only", "nan", "1e999",
+        "concatenated-records", "undecodable-source", "malformed-sample", "fffd-in-sample"])
+def test_text_reader_matches_per_line_reader(tmp_path, text, accepted):
+    # Each case is read from its path and, under a name numpy would
+    # decompress, from the open file; "\udcff" writes the byte 0xff.
+    for name in ("rec.txt", "rec.gz"):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning may escape the reader
+            got = _text_read(homodyne.load_record_text, str(path))
+        if accepted:
+            assert got == _text_read(load_record_text_per_line, str(path))
+        else:
+            assert isinstance(got, str) and got.startswith(f"{path}:")
     if text == HEAD:
         assert got == f"{path}: record holds no samples"
+    if "\udcff" in text:
+        assert got[2] == "s \ufffd"
 
 
 def test_text_reader_matches_per_line_reader_on_mutants(valid_files, tmp_path):
+    # A mutant the reader reads is the reference's record, bit for bit, so
+    # the reader refuses whatever the reference refuses; its grammar is the
+    # narrower one, so it may refuse what the reference reads.
     original = (valid_files / "record.txt").read_bytes()
     rng = np.random.default_rng(707)
     mismatches = []
+    read = reference_read = 0
     for k in range(10 * MUTANTS_PER_FILE):
         mutant = tmp_path / f"mutant-{k}.txt"
         data = _mutate_text(original, rng)
@@ -236,6 +244,11 @@ def test_text_reader_matches_per_line_reader_on_mutants(valid_files, tmp_path):
             data = _mutate_text(data, rng)
         mutant.write_bytes(data)
         got = _text_read(homodyne.load_record_text, str(mutant))
-        if got != _text_read(load_record_text_per_line, str(mutant)):
+        expected = _text_read(load_record_text_per_line, str(mutant))
+        if isinstance(got, tuple) and got != expected:
             mismatches.append(f"{mutant.name}: {data!r}")
+        read += isinstance(got, tuple)
+        reference_read += isinstance(expected, tuple)
     assert not mismatches, "\n".join(mismatches)
+    # the narrower grammar refuses few of the reference's records
+    assert read >= 0.8 * reference_read

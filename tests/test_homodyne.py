@@ -449,7 +449,7 @@ def test_record_text_round_trip_is_exact(tmp_path):
 
 @pytest.mark.parametrize("name", ["rec.gz", "rec.txt.bz2", "rec.xz", "rec.lzma"])
 def test_text_record_named_like_a_compressed_file_reads_as_text(tmp_path, name):
-    # np.loadtxt would decompress such a path, so the samples are parsed line by line
+    # np.loadtxt would decompress such a path, so it parses the open file
     path = str(tmp_path / name)
     rec = sample_record()
     save_record_text(path, rec)
@@ -554,6 +554,17 @@ def test_text_record_source_with_a_line_break_refused(tmp_path, source):
     assert os.listdir(tmp_path) == ["rec.txt"]
     save_record_binary(str(tmp_path / "rec.bin"), record)
     assert load_record(str(tmp_path / "rec.bin")).source == source
+
+
+def test_text_record_source_with_an_ascii_separator_reloads(tmp_path):
+    # the reader refuses the ASCII separators in sample lines, not in headers
+    path = str(tmp_path / "rec.txt")
+    rec = HomodyneRecord(eta=0.9, thetas=[0.1, 0.2], xs=[0.3, 0.4], seed=1,
+                         source="a\x1cb\x1f c")
+    save_record_text(path, rec)
+    back = load_record_text(path)
+    assert back.source == rec.source
+    assert np.array_equal(back.xs, rec.xs)
 
 
 @pytest.mark.parametrize("source", ["x" * 63 + "\u00e9 tail", "x" * 63 + " tail"],
@@ -835,14 +846,17 @@ def test_text_reader_stays_within_record_size(tmp_path):
     save_record_text(path, rec)
     back, peak = _traced_peak(load_record_text, path)
     assert np.array_equal(back.xs, rec.xs)
-    # the record keeps 16 B per sample (thetas and xs); the reader may add 10%
+    # the record keeps 8 B per sample of contiguous xs; the reader parses
+    # 16 B per sample (thetas and xs) and may add 10%
+    assert back.xs.flags.c_contiguous and back.xs.flags.owndata
+    assert back.xs.nbytes == 8 * count
     assert peak <= 1.1 * 16 * count
 
 
 @pytest.mark.parametrize("final_newline", [True, False], ids=["terminated", "unterminated"])
 def test_text_reader_sizes_its_array_to_the_samples(tmp_path, monkeypatch, final_newline):
-    # one row of slack: numpy trims at most that row, so a freed record's
-    # block fits the next record of its length
+    # numpy's array holds the lines after the header block and one row of
+    # slack up front, so it never grows
     path = tmp_path / "rec.txt"
     save_record_text(str(path), sample_record())
     if not final_newline:
