@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import struct
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -298,11 +300,12 @@ class HomodyneRecord:
         return np.repeat(self.run_phases, np.diff(self.run_starts, append=self.sample_count))
 
     def _slices(self):
-        """Per slice of ``_SLICE`` samples: its runs' phases and lengths within
-        it (a run that starts at its end has length 0), and its xs."""
+        """Per slice of ``_SLICE`` samples: the phases and lengths (each >= 1)
+        of the runs within it, and its xs."""
         for start in range(0, self.sample_count, _SLICE):
             stop = min(start + _SLICE, self.sample_count)
-            first, end = np.searchsorted(self.run_starts, (start, stop), side="right")
+            # run first - 1 holds start; the runs before end start before stop
+            first, end = np.searchsorted(self.run_starts, (start + 1, stop))
             lengths = np.diff(self.run_starts[first - 1:end].clip(start), append=stop)
             yield self.run_phases[first - 1:end], lengths, self.xs[start:stop]
 
@@ -503,19 +506,31 @@ def _check_source(source: str) -> None:
 
 
 def _write_record(path: str, record: HomodyneRecord, header: bytes,
-                  encode: Callable[[np.ndarray], object]) -> None:
-    """Write ``header``, then each slice of ``_SLICE`` (theta, x) pairs, its
-    phases expanded from the record's runs, as ``encode`` gives it."""
+                  encode: Callable[[np.ndarray, np.ndarray, np.ndarray], object]) -> None:
+    """Write ``header``, then each slice of ``_SLICE`` samples as ``encode``
+    gives it from the slice's run phases, run lengths and xs."""
     def write(fh):
         fh.write(header)
         for phases, lengths, xs in record._slices():
-            fh.write(encode(np.column_stack((np.repeat(phases, lengths), xs))))
+            fh.write(encode(phases, lengths, xs))
 
     _write_atomically(path, write)
 
 
+def _text_lines(phases: np.ndarray, lengths: np.ndarray, xs: np.ndarray) -> bytes:
+    """A slice's ``theta,x`` lines: one ``%`` over the run phases gives each
+    run's ``"<theta>,%.17g\n"`` head, the heads repeated over their runs'
+    lengths are the template that one ``%`` over the xs fills.  A slice of
+    one-sample runs (a swept record) takes the heads as its template."""
+    template = "%.17g,%%.17g\n" * len(phases) % tuple(phases.tolist())
+    if len(phases) < len(xs):
+        template = "".join(map(str.__mul__, template.splitlines(True), lengths.tolist()))
+    return (template % tuple(xs.tolist())).encode()
+
+
 def save_record_text(path: str, record: HomodyneRecord) -> None:
-    """Plain-text record: eta=, seed=, source= headers, then theta,x lines.
+    """Plain-text record: eta=, seed=, source= headers, then theta,x lines,
+    each value formatted with ``%.17g``; a phase is formatted once per run.
 
     Streamed to a temporary file that is renamed over ``path``, so a failed
     write leaves any previous record intact.  A ``source`` holding a line
@@ -524,8 +539,23 @@ def save_record_text(path: str, record: HomodyneRecord) -> None:
     _check_source(record.source)
     _check_line_break("a text record's source", record.source)
     header = f"eta={record.eta:.17g}\nseed={record.seed}\nsource={record.source}\n"
-    _write_record(path, record, header.encode(), lambda pairs: (
-        "%.17g,%.17g\n" * len(pairs) % tuple(pairs.ravel().tolist())).encode())
+    _write_record(path, record, header.encode(), _text_lines)
+
+
+def _sample_error(path: str, fh, skip: int, message: str) -> str:
+    """numpy's error in the samples from line ``skip`` of ``fh`` on, its row
+    given as ``path:<line>``: a second pass finds the row among the non-blank
+    lines, counted from 0 in a conversion error and from 1 in a column-count
+    error.  numpy's advice to pass ``usecols`` does not apply to a record."""
+    message = message.partition("; use")[0]
+    found = re.search(r"row (\d+), | at row (\d+)$", message)
+    if found is None:
+        return f"{path}: {message}"
+    row = int(found[1]) + 1 if found[1] else int(found[2])
+    fh.seek(0)
+    lines = (index for index, line in enumerate(fh) if index >= skip and line != "\n")
+    line = next(islice(lines, row - 1, None)) + 1
+    return f"{path}:{line}: {message[:found.start()]}{message[found.end():]}"
 
 
 def load_record_text(path: str) -> HomodyneRecord:
@@ -536,7 +566,8 @@ def load_record_text(path: str) -> HomodyneRecord:
     each, and blank lines.  A line is a header when no comma precedes its
     first "=", so a value may hold commas (a cat state's source label).
     Anything else after the first sample line is a :class:`FileFormatError`
-    that gives numpy's row and column, or the column count.
+    that gives the file line numpy stopped at, and the column or the column
+    count.
 
     A pre-pass counts the lines and refuses an ASCII separator in a sample
     line, which numpy would strip from a number.  The header block is read
@@ -585,8 +616,7 @@ def load_record_text(path: str) -> HomodyneRecord:
                                    comments=None, skiprows=skip, ndmin=2,
                                    max_rows=lines - skip + 1, encoding="utf-8")
             except ValueError as exc:
-                # numpy's advice to pass ``usecols`` does not apply to a record
-                raise FileFormatError(f"{path}: {str(exc).partition('; use')[0]}") from exc
+                raise FileFormatError(_sample_error(path, fh, skip, str(exc))) from exc
     count = len(pairs)
     if count and pairs.shape[1] != 2:
         raise FileFormatError(f"{path}: expected 2 columns (theta,x), got {pairs.shape[1]}")
@@ -626,7 +656,8 @@ def save_record_binary(path: str, record: HomodyneRecord) -> None:
         _RECORD_MAGIC, _RECORD_VERSION, 0, record.eta, record.seed,
         record.sample_count, source,
     )
-    _write_record(path, record, header, lambda pairs: pairs.astype("<f8", copy=False))
+    _write_record(path, record, header, lambda phases, lengths, xs: np.column_stack(
+        (np.repeat(phases, lengths), xs)).astype("<f8", copy=False))
 
 
 def load_record_binary(path: str) -> HomodyneRecord:

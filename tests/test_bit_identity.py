@@ -208,6 +208,12 @@ def test_sliced_run_starts_match_the_whole_record_search(tmp_path, monkeypatch, 
         assert np.array_equal(record.run_starts, expected)
         assert np.array_equal(record.run_phases.view(np.int64), thetas[expected].view(np.int64))
         assert np.array_equal(record.thetas.view(np.int64), thetas.view(np.int64))
+        # the slices' runs, as the histogram and the writers take them, are
+        # never empty and expand to the record's phases
+        slices = list(record._slices())
+        assert all(lengths.min() > 0 for _, lengths, _ in slices)
+        expanded = np.concatenate([np.repeat(phases, lengths) for phases, lengths, _ in slices])
+        assert np.array_equal(expanded.view(np.int64), thetas.view(np.int64))
 
 
 def test_a_nan_phase_starts_a_run(monkeypatch):

@@ -589,20 +589,21 @@ def test_config_asymmetric_grid_exits_3(workdir, tmp_path, capsys):
     assert not (tmp_path / "never.txt").exists()
 
 
-@pytest.mark.parametrize("body", [
-    "1,2\neta=0.6\n", "1,2\n# note\n", "1,2\n \t\n", "1_0,2\n", "\u0661,2\n",
-    "1,2\neta=0.6\nseed=2\nsource=b\n3,4\n",
+@pytest.mark.parametrize("body, line", [
+    ("1,2\neta=0.6\n", 6), ("1,2\n# note\n", 6), ("1,2\n \t\n", 6), ("1_0,2\n", 5),
+    ("\u0661,2\n", 5), ("1,2\neta=0.6\nseed=2\nsource=b\n3,4\n", 6),
 ], ids=["header-after-data", "comment-after-data", "whitespace-line", "underscore",
         "arabic-indic-digit", "concatenated-records"])
-def test_text_records_outside_the_grammar_exit_4(tmp_path, capsys, body):
-    # each loads under a per-line float parse; the reader's grammar refuses it
+def test_text_records_outside_the_grammar_exit_4(tmp_path, capsys, body, line):
+    # each loads under a per-line float parse; the reader's grammar refuses
+    # it, naming the file line of the first sample line outside it
     record = tmp_path / "rec.txt"
     record.write_text("eta=0.9\nseed=1\nsource=a\n0.5,1.5\n" + body, encoding="utf-8")
     rc = main(["reconstruct", "--record", str(record), "--out", str(tmp_path / "g.txt"),
                "--n-max", "4"])
     assert rc == 4
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: format: {record}: ")
+    assert len(err) == 1 and err[0].startswith(f"error: format: {record}:{line}: ")
     assert not (tmp_path / "g.txt").exists()
 
 

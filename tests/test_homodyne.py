@@ -474,6 +474,25 @@ def test_record_text_bytes_match_per_value_formatting(tmp_path, monkeypatch):
     assert np.array_equal(back.xs, xs) and np.signbit(back.xs[0])
 
 
+def test_record_text_bytes_match_per_value_formatting_on_runs(tmp_path, monkeypatch):
+    # with 5-sample slices: slice 0 mixes one-sample runs with the start of
+    # a run of 14 that crosses three slice edges and holds slice 1 whole;
+    # runs of 0.0 and -0.0 meet, the -0.0 run starting on the edge 20;
+    # slice 5 is swept, and a run of 2 ends the record
+    rng = np.random.default_rng(41)
+    thetas = np.concatenate(([0.1, 0.2, 0.3], np.full(14, 0.5), np.zeros(3), np.full(4, -0.0),
+                             [1.0], rng.uniform(0.0, np.pi, 5), [np.pi, np.pi]))
+    xs = rng.normal(0.0, 1.0, thetas.size)
+    xs[[0, 5, 19, 20, 31]] = [-0.0, 5e-324, 1e308, -2.0**-1022, 0.0]
+    rec = HomodyneRecord(eta=0.85, thetas=thetas, xs=xs, seed=-3, source="runs")
+    monkeypatch.setattr(homodyne, "_SLICE", 5)
+    path = tmp_path / "rec.txt"
+    save_record_text(str(path), rec)
+    expected = "eta=0.84999999999999998\nseed=-3\nsource=runs\n" + "".join(
+        "{:.17g},{:.17g}\n".format(t, x) for t, x in zip(thetas.tolist(), xs.tolist()))
+    assert path.read_bytes() == expected.encode()
+
+
 def test_record_binary_round_trip_is_exact(tmp_path):
     path = str(tmp_path / "rec.bin")
     rec = sample_record()
@@ -835,6 +854,39 @@ def test_binary_writer_holds_no_copy_of_the_record(tmp_path):
     assert peak <= 4e6
     back = load_record_binary(path)
     assert np.array_equal(back.thetas, rec.thetas) and np.array_equal(back.xs, rec.xs)
+
+
+@pytest.mark.parametrize("layout", ["runs", "swept"])
+def test_text_writer_holds_no_copy_of_the_record(tmp_path, layout):
+    count = 1_000_000
+    rng = np.random.default_rng(8)
+    thetas = (np.repeat(np.pi * np.arange(10) / 10, count // 10) if layout == "runs"
+              else rng.uniform(0.0, np.pi, count))
+    rec = HomodyneRecord(eta=0.85, thetas=thetas, xs=rng.normal(0.0, 1.3, count), seed=3)
+    path = str(tmp_path / "big.txt")
+    _, peak = _traced_peak(save_record_text, path, rec)
+    # a slice's template, its xs as Python floats and its text and bytes
+    # peak at about 7.0 MB in runs and 7.3 MB swept; a writer that turns
+    # each line's phase into a Python float as well peaks at 9.0 and 9.6 MB
+    assert peak <= 8e6
+    back = load_record_text(path)
+    assert np.array_equal(back.thetas, rec.thetas) and np.array_equal(back.xs, rec.xs)
+
+
+@pytest.mark.parametrize("name", ["rec.txt", "rec.gz"])
+@pytest.mark.parametrize("bad, message", [
+    ("1_0,2", "could not convert string '1_0' to float64 at column 1."),
+    ("1,2,3", "the number of columns changed from 2 to 3"),
+], ids=["conversion", "column-count"])
+def test_text_sample_errors_name_the_file_line(tmp_path, name, bad, message):
+    # numpy counts sample rows (from 0 in a conversion error, from 1 in a
+    # column-count error) and skips blank lines; the message gives line 9,
+    # after blank lines in the header block and among the samples, whether
+    # numpy parses the path or (for a name it would decompress) the open file
+    path = tmp_path / name
+    path.write_bytes(f"eta=0.9\n\nseed=1\n# note\n0.5,1.5\n\n\r\n1,2\n{bad}\n3,4\n".encode())
+    with pytest.raises(FileFormatError, match=f"^{re.escape(f'{path}:9: {message}')}$"):
+        load_record_text(str(path))
 
 
 def test_text_reader_stays_within_record_size(tmp_path):
