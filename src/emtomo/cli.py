@@ -20,6 +20,7 @@ import math
 import sys
 
 from . import __version__
+from .em import PLATEAU_WINDOW
 from .errors import TomographyError, ValidationError
 from .homodyne import (
     cat_state,
@@ -198,9 +199,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     a = load_wigner_grid(args.grid_a)
     b = load_wigner_grid(args.grid_b)
     norms = compare_wigner_grids(a, b)
-    for key in ("max_abs", "rms", "mean_abs", "compared_points", "skipped_points"):
-        print(f"{key} {norms[key]:.6g}" if isinstance(norms[key], float)
-              else f"{key} {norms[key]}")
+    for key, value in norms.items():
+        print(f"{key} {value:.6g}" if isinstance(value, float) else f"{key} {value}")
     if args.max_abs is not None and norms["max_abs"] > args.max_abs:
         raise ToleranceExceeded(
             f"max_abs {norms['max_abs']:.6g} exceeds bound {args.max_abs:g}"
@@ -252,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="phase-space radius to derive the cutoff from")
     rec.add_argument("--max-iter", type=int)
     rec.add_argument("--plateau-tol", type=float,
-                     help="stop once the 100-iteration likelihood gain drops below this")
+                     help=f"stop once the {PLATEAU_WINDOW}-iteration likelihood gain "
+                          "drops below this")
     _add_grid_args(rec)
     rec.add_argument("--kernel-cache", help="binary kernel cache file to reuse or create")
     rec.add_argument("--max-column-deficit", type=_parse_deficit,

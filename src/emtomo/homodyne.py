@@ -38,7 +38,6 @@ from scipy.special import gammaln
 
 from .em import Histogram
 from .errors import (
-    EmptyHistogramError,
     FileFormatError,
     TabulationRangeError,
     TruncationError,
@@ -262,6 +261,8 @@ class HomodyneRecord:
     The phases are held as runs of bitwise-equal phase: each run's first
     sample in ``run_starts`` (int64) and its phase in ``run_phases``, 16 B
     per run beside 8 B per sample of ``xs``.  :attr:`thetas` expands them.
+    Its fields are checked once, when it is built or read, so the writers
+    trust them: a source is one line that both file formats give back.
     """
 
     def __init__(self, eta: float, thetas, xs, seed: int, source: str = ""):
@@ -286,6 +287,7 @@ class HomodyneRecord:
         # NaN carries through min and max, and +-inf is one of them: no mask
         if not np.isfinite([run_phases.min(), run_phases.max(), xs.min(), xs.max()]).all():
             raise ValidationError("record contains non-finite samples")
+        _check_line_text("a record's source", source)
         self.run_starts, self.run_phases, self.xs = run_starts, run_phases, xs
         self.seed, self.source = int(seed), source
         return self
@@ -459,7 +461,8 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float, grid: BinGri
     evaluates the shift once per run and repeats it over the run's samples;
     a run of one sample is a swept phase.  Every sample gets the arithmetic
     of a per-sample evaluation, so the counts do not depend on where the
-    runs or slices end.
+    runs or slices end.  A histogram whose every sample fell off the grid
+    comes back empty: total 0, overflow the sample count.
     """
     scale = np.sqrt(record.eta)
     counts = np.zeros(grid.rows, dtype=np.int64)
@@ -473,12 +476,7 @@ def shift_and_histogram(record: HomodyneRecord, q: float, p: float, grid: BinGri
             slice_counts, slice_overflow = grid.counts_in_place(shifted)
             counts += slice_counts
             overflow += slice_overflow
-    hist = Histogram(grid=grid, counts=counts, overflow=overflow)
-    if hist.total == 0:
-        raise EmptyHistogramError(
-            "every shifted sample fell outside the bin grid"
-        )
-    return hist
+    return Histogram(grid=grid, counts=counts, overflow=overflow)
 
 
 def _check_line_break(what: str, text: str) -> None:
@@ -488,21 +486,13 @@ def _check_line_break(what: str, text: str) -> None:
 
 
 def _check_line_text(what: str, text: str) -> None:
-    """Refuse text that a file's line would not give back: a line break
-    splits the line, and the readers strip outer whitespace."""
+    """Refuse free text that a file's line would not give back: a line break
+    splits it, readers strip outer whitespace, NUL pads a binary source."""
     _check_line_break(what, text)
     if text != text.strip():
         raise ValidationError(f"{what} cannot start or end with whitespace: {text!r}")
-
-
-def _check_source(source: str) -> None:
-    """Refuse what a reader would not give back: outer whitespace, which the
-    text reader strips from header values, and NUL, which pads the binary
-    header's source field."""
-    if source != source.strip():
-        raise ValidationError(f"a source cannot start or end with whitespace: {source!r}")
-    if "\x00" in source:
-        raise ValidationError(f"a source cannot hold a NUL character: {source!r}")
+    if "\x00" in text:
+        raise ValidationError(f"{what} cannot hold a NUL character: {text!r}")
 
 
 def _write_record(path: str, record: HomodyneRecord, header: bytes,
@@ -533,11 +523,8 @@ def save_record_text(path: str, record: HomodyneRecord) -> None:
     each value formatted with ``%.17g``; a phase is formatted once per run.
 
     Streamed to a temporary file that is renamed over ``path``, so a failed
-    write leaves any previous record intact.  A ``source`` holding a line
-    break is refused: it would reload as other headers or samples.
+    write leaves any previous record intact.
     """
-    _check_source(record.source)
-    _check_line_break("a text record's source", record.source)
     header = f"eta={record.eta:.17g}\nseed={record.seed}\nsource={record.source}\n"
     _write_record(path, record, header.encode(), _text_lines)
 
@@ -650,7 +637,6 @@ def save_record_binary(path: str, record: HomodyneRecord) -> None:
     """
     if not -(1 << 63) <= record.seed < 1 << 63:
         raise ValidationError(f"seed {record.seed} does not fit a binary record's int64")
-    _check_source(record.source)
     source = record.source.encode()[:64].decode("utf-8", "ignore").rstrip().encode()
     header = _RECORD_HEADER.pack(
         _RECORD_MAGIC, _RECORD_VERSION, 0, record.eta, record.seed,

@@ -40,7 +40,7 @@ from .em import PhotonDistribution
 from .errors import TruncationError, ValidationError
 from .fock_kernel import _check_order_n
 from .homodyne import StateSpec
-from .pipeline import WignerGrid
+from .pipeline import _POINT_COLUMNS, WignerGrid
 
 # Displaced-distribution mass allowed above the cutoff before refusing.
 DISPLACED_TAIL_TOL = 1e-8
@@ -174,15 +174,10 @@ def oracle_wigner_grid(state: StateSpec, qs, ps, n_max: int) -> WignerGrid:
     values[untrusted] = np.nan
     failures = {(int(i), int(j)): f"displaced tail {tails[i, j]:.3g} above n_max={n_max}"
                 for i, j in zip(*np.nonzero(untrusted))}
-    return WignerGrid(
-        qs=qs, ps=ps, values=values,
-        iterations=np.zeros(shape, dtype=np.int64),
-        final_loglik=np.zeros(shape),
-        overflow_fraction=np.zeros(shape),
-        rho_tail=tails,
-        failures=failures,
-        meta={"kind": "oracle", "n_max": str(n_max)},
-    )
+    columns = {name: np.zeros(shape) for name in _POINT_COLUMNS}
+    columns.update(values=values, rho_tail=tails)
+    return WignerGrid(qs=qs, ps=ps, **columns, failures=failures,
+                      meta={"kind": "oracle", "n_max": str(n_max)})
 
 
 def s_ordered_quasidistribution(

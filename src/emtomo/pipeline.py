@@ -25,13 +25,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .em import default_cutoff, reconstruct_photon_distribution
-from .errors import (
-    EmptyHistogramError,
-    FileFormatError,
-    ModelZeroError,
-    ShiftOverflowError,
-    ValidationError,
-)
+from .errors import FileFormatError, ModelZeroError, ShiftOverflowError, ValidationError
 from .fock_kernel import (
     DEFAULT_MAX_COLUMN_DEFICIT,
     BinGrid,
@@ -158,8 +152,6 @@ def _check_field_type(name: str, value) -> None:
         raise ValidationError(f"{name} must be finite, got {value!r}")
     if kind == "str":  # a path, which a grid file keeps in a meta line
         _check_line_text(name, value)
-        if "\x00" in value:  # no file name holds one
-            raise ValidationError(f"{name} cannot hold a NUL character: {value!r}")
 
 
 def _read_config_object(path: str) -> dict:
@@ -196,11 +188,16 @@ class WignerGrid:
             raise ValidationError("a Wigner grid needs at least one q and one p")
         shape = (self.qs.size, self.ps.size)
         for name in _POINT_COLUMNS:
-            arr = np.asarray(getattr(self, name),
-                             dtype=np.int64 if name == "iterations" else float)
+            arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValidationError(f"{name} shape {arr.shape} != {shape}")
             setattr(self, name, arr)
+        # Written so that NaN fails it; 2**63 is the first float past int64.
+        its = self.iterations
+        bad = its[~((its >= 0) & (its < 2.0**63) & (np.floor(its) == its))]
+        if bad.size:
+            raise ValidationError(f"an iteration count must be a whole number >= 0, got {bad[0]:g}")
+        self.iterations = its.astype(np.int64)
 
 
 def reconstruct_wigner_grid(
@@ -216,8 +213,8 @@ def reconstruct_wigner_grid(
     parity sum.  The kernel is built (or loaded from ``config.kernel_cache``)
     once per scan; a caller's ``kernel`` must have the config's bin grid,
     cutoff and eta, and pass its ``max_column_deficit``.  Per-point numerical failures
-    (overflow, empty histogram, a vanishing model) are recorded in
-    ``failures`` and leave NaN in every float column and 0 in
+    (overflow, every sample off the bin grid included, and a vanishing model) are
+    recorded in ``failures`` and leave NaN in every float column and 0 in
     ``iterations``; they do not abort the scan unless every point fails.
     """
     if abs(config.eta - record.eta) > 1e-12:
@@ -257,7 +254,7 @@ def reconstruct_wigner_grid(
                 dist, diag = reconstruct_photon_distribution(
                     hist, kernel, max_iter=config.max_iter, plateau_tol=config.plateau_tol,
                 )
-            except (ShiftOverflowError, EmptyHistogramError, ModelZeroError) as exc:
+            except (ShiftOverflowError, ModelZeroError) as exc:
                 failures[(i, j)] = str(exc)
                 last_error = exc
                 logger.warning("point (%g, %g) failed: %s", q, p, exc)
@@ -297,8 +294,15 @@ def save_wigner_grid(path: str, grid: WignerGrid) -> None:
     stays confined to its own comment line.  A meta key, meta value or
     failure note holding a line break or starting or ending with whitespace,
     or a meta key holding "=", is refused, and nothing is written: it would
-    reload as other lines, as another key or stripped.
+    reload as other lines, as another key or stripped.  So is a failure key
+    that is not a point (i, j) of the grid, which would not reload.
     """
+    for key in grid.failures:
+        if not (isinstance(key, tuple) and len(key) == 2 and all(
+                isinstance(k, numbers.Integral) and not isinstance(k, bool) and 0 <= k < n
+                for k, n in zip(key, grid.values.shape))):
+            raise ValidationError(f"a grid failure key must be a point (i, j) of the "
+                                  f"{grid.qs.size}x{grid.ps.size} grid, got {key!r}")
     lines = [_GRID_MAGIC_LINE]
     lines.append(f"# generated: {datetime.now(timezone.utc).isoformat()}")
     for key in sorted(grid.meta):
@@ -389,8 +393,11 @@ def load_wigner_grid(path: str) -> WignerGrid:
                               f"p={data[k, 1]:.17g}), not its grid position "
                               f"(q={at[k, 0]:.17g}, p={at[k, 1]:.17g})")
     table = data[:, 2:].T.reshape(len(_POINT_COLUMNS), q_steps, p_steps)
-    return WignerGrid(qs=qs, ps=ps, **dict(zip(_POINT_COLUMNS, table)),
-                      failures=failures, meta=meta)
+    try:
+        return WignerGrid(qs=qs, ps=ps, **dict(zip(_POINT_COLUMNS, table)),
+                          failures=failures, meta=meta)
+    except ValidationError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def _header_int(path: str, lineno: int, text: str) -> int:

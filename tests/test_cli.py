@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,11 +70,13 @@ def test_full_pipeline_round(workdir, capsys):
         "--out", str(workdir / "exact.txt"),
     ])
     assert rc == 0
+    capsys.readouterr()
 
     rc = main(["compare", str(workdir / "grid.txt"), str(workdir / "exact.txt")])
     out = capsys.readouterr().out
     assert rc == 0
     lines = dict(l.split(" ", 1) for l in out.strip().splitlines())
+    assert list(lines) == ["max_abs", "rms", "mean_abs", "compared_points", "skipped_points"]
     assert float(lines["max_abs"]) < 0.03
     assert lines["compared_points"] == "4"
 
@@ -268,6 +271,35 @@ def test_format_errors_exit_4(tmp_path, capsys):
         assert rc == 4
         assert capsys.readouterr().err.splitlines() == [f"error: format: {binary}: {message}"]
     assert not (tmp_path / "g.txt").exists()
+
+
+def _text_record(path, source):
+    path.write_bytes(b"eta=0.9\nseed=1\nsource=" + source + b"\n0.1,0.3\n0.2,0.4\n")
+
+
+def _binary_record(path, source):
+    save_record_binary(str(path), HomodyneRecord(eta=0.9, thetas=[0.1, 0.2], xs=[0.3, 0.4],
+                                                 seed=1))
+    data = bytearray(path.read_bytes())
+    data[40:104] = source.ljust(64, b"\x00")  # the header's source field
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("write, source, message", [
+    (_text_record, b"a\x00b", "cannot hold a NUL character: 'a\\x00b'"),
+    (_binary_record, b"run A\n0.5", "cannot hold a line break: 'run A\\n0.5'"),
+    (_binary_record, b" padded", "cannot start or end with whitespace: ' padded'"),
+], ids=["text-nul", "binary-line-break", "binary-leading-blank"])
+def test_record_file_with_an_unwritable_source_exits_4(tmp_path, capsys, write, source, message):
+    # the record checks its source when it is read, as it does its samples
+    record = tmp_path / "rec"
+    write(record, source)
+    rc = main(["reconstruct", "--record", str(record), "--out", str(tmp_path / "g.txt"),
+               "--n-max", "4"])
+    assert rc == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: format: {record}: a record's source {message}"]
+    assert os.listdir(tmp_path) == ["rec"]
 
 
 def test_missing_file_exits_4(tmp_path, capsys):
@@ -679,6 +711,33 @@ def test_grid_row_off_its_grid_position_is_a_format_error(tmp_path, capsys, edit
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: format:")
         assert "not its grid position" in err[0]
+
+
+@pytest.mark.parametrize("count", ["2.5", "-3", "nan", "1e300"])
+def test_grid_iteration_count_not_a_whole_number_is_a_format_error(tmp_path, capsys, count):
+    # a cast to int64 would load these as 2, -3 and the most negative int64
+    exact = tmp_path / "exact.txt"
+    assert main([
+        "oracle", "--state", "vacuum", "--n-max", "10",
+        "--q-min", "-1", "--q-max", "1", "--q-steps", "2",
+        "--p-min", "-1", "--p-max", "1", "--p-steps", "2", "--out", str(exact),
+    ]) == 0
+    lines = exact.read_text().splitlines()
+    last = lines[-1].split()
+    last[3] = count  # the iterations column
+    bad = tmp_path / "bad.txt"
+    bad.write_text("\n".join(lines[:-1] + [" ".join(last)]) + "\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["compare", str(bad), str(exact)],
+                     ["plot", str(bad), "--out-prefix", str(tmp_path / "fig")]):
+            assert main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                f"error: format: {bad}: an iteration count must be a whole number >= 0, "
+                f"got {float(count):g}"]
+            assert captured.out == ""
 
 
 def _drop_rows(text):

@@ -27,6 +27,7 @@ from emtomo import (
     load_record,
     lossy_fock_quadrature_density,
     quadrature_density,
+    reconstruct_photon_distribution,
     sample_homodyne,
     save_record_binary,
     save_record_text,
@@ -397,16 +398,23 @@ def test_shift_overflow_counted_and_empty_rejected():
     hist = shift_and_histogram(record, 0.0, 0.0, grid)
     assert hist.overflow == 1
     assert hist.total == 2
-    with pytest.raises(EmptyHistogramError):
-        shift_and_histogram(record, 50.0, 0.0, grid)
+    # the histogram bins what it can; EM refuses one that holds nothing
+    _assert_empty_and_refused_by_em(shift_and_histogram(record, 50.0, 0.0, grid), 3)
 
 
 def test_shift_by_nan_counts_every_sample_as_overflow():
     record = HomodyneRecord(
         eta=1.0, thetas=np.array([0.0, 0.0, 0.5]), xs=np.array([0.0, 0.1, 0.2]), seed=0,
     )
-    with pytest.raises(EmptyHistogramError):
-        shift_and_histogram(record, np.nan, 0.0, BinGrid(-1.0, 1.0, 10))
+    _assert_empty_and_refused_by_em(
+        shift_and_histogram(record, np.nan, 0.0, BinGrid(-1.0, 1.0, 10)), 3)
+
+
+def _assert_empty_and_refused_by_em(hist, samples):
+    assert (hist.total, hist.overflow) == (0, samples)
+    kernel = build_kernel_matrix(hist.grid, 2, 1.0, max_column_deficit=None)
+    with pytest.raises(EmptyHistogramError, match="histogram holds no counts"):
+        reconstruct_photon_distribution(hist, kernel)
 
 
 def test_shift_sample_just_below_right_edge_lands_in_last_bin():
@@ -559,20 +567,27 @@ def test_failed_record_write_keeps_previous_record(tmp_path, monkeypatch, save):
     assert os.listdir(tmp_path) == ["rec"]
 
 
+def _assert_source_refused(save, path, source, match):
+    """A record with ``source`` is refused when it is built, by hand or by
+    the sampler, so ``save`` never sees it and the file at ``path`` stays."""
+    before = path.read_bytes()
+    with pytest.raises(ValidationError, match=match):
+        save(str(path), HomodyneRecord(eta=0.9, thetas=np.array([0.1, 0.2]),
+                                       xs=np.array([0.3, 0.4]), seed=1, source=source))
+    with pytest.raises(ValidationError, match=match):
+        save(str(path), sample_homodyne(vacuum_state(), 1, 2, 0.9, 1, source=source))
+    assert path.read_bytes() == before
+    assert os.listdir(path.parent) == [path.name]
+
+
 @pytest.mark.parametrize("source", ["run A\n0.5,0.7", "x\reta=0.5"], ids=["LF", "CR"])
 def test_text_record_source_with_a_line_break_refused(tmp_path, source):
-    # written verbatim, the first reloads with a third sample, the second with eta 0.5
+    # written verbatim, the first reloads with a third sample, the second with
+    # eta 0.5; a binary record's source is held to one line too
     path = tmp_path / "rec.txt"
     save_record_text(str(path), sample_record())
-    before = path.read_bytes()
-    record = HomodyneRecord(eta=0.9, thetas=np.array([0.1, 0.2]), xs=np.array([0.3, 0.4]),
-                            seed=1, source=source)
-    with pytest.raises(ValidationError, match="line break"):
-        save_record_text(str(path), record)
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["rec.txt"]
-    save_record_binary(str(tmp_path / "rec.bin"), record)
-    assert load_record(str(tmp_path / "rec.bin")).source == source
+    _assert_source_refused(save_record_text, path, source,
+                           "a record's source cannot hold a line break")
 
 
 def test_text_record_source_with_an_ascii_separator_reloads(tmp_path):
@@ -604,13 +619,7 @@ def test_record_source_with_outer_whitespace_refused(tmp_path, save, source):
     # the text reader strips header values, so the formats would disagree
     path = tmp_path / "rec"
     save(str(path), sample_record())
-    before = path.read_bytes()
-    record = HomodyneRecord(eta=0.9, thetas=np.array([0.1, 0.2]), xs=np.array([0.3, 0.4]),
-                            seed=1, source=source)
-    with pytest.raises(ValidationError, match="whitespace"):
-        save(str(path), record)
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["rec"]
+    _assert_source_refused(save, path, source, "source cannot start or end with whitespace")
 
 
 @pytest.mark.parametrize("save", [save_record_text, save_record_binary], ids=["text", "binary"])
@@ -619,13 +628,7 @@ def test_record_source_with_a_nul_refused(tmp_path, save, source):
     # a binary record pads its source field with NUL, so a trailing one would not come back
     path = tmp_path / "rec"
     save(str(path), sample_record())
-    before = path.read_bytes()
-    record = HomodyneRecord(eta=0.9, thetas=np.array([0.1, 0.2]), xs=np.array([0.3, 0.4]),
-                            seed=1, source=source)
-    with pytest.raises(ValidationError, match="NUL"):
-        save(str(path), record)
-    assert path.read_bytes() == before
-    assert os.listdir(tmp_path) == ["rec"]
+    _assert_source_refused(save, path, source, "source cannot hold a NUL character")
 
 
 def test_record_malformed_files_rejected(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import ast
 import builtins
 import os
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -179,6 +180,21 @@ def test_grid_fail_soft_records_failures(vacuum_record):
     for column in (grid.values, grid.final_loglik, grid.overflow_fraction, grid.rho_tail):
         assert np.isnan(column[1, 0]) and np.isfinite(column[0, 0])
     assert grid.iterations[1, 0] == 0 and grid.iterations[0, 0] == 50
+
+
+def test_grid_point_whose_every_sample_overflows_names_itself(vacuum_record):
+    # at (30, 60) no phase's shift leaves a sample on the grid: the overflow
+    # limit refuses the point before EM sees its empty histogram
+    kernel = build_kernel_matrix(BinGrid(-4.0, 4.0, 400), 6, 0.85, max_column_deficit=None)
+    cfg = ReconstructionConfig(
+        eta=0.85, x_min=-4.0, x_max=4.0, bin_count=400, n_max=6, max_iter=50,
+        q_min=0.0, q_max=30.0, q_steps=2, p_min=0.0, p_max=60.0, p_steps=2,
+        max_column_deficit=None,
+    )
+    grid = reconstruct_wigner_grid(vacuum_record, cfg, kernel=kernel)
+    assert grid.failures[(1, 1)] == ("100.000% of shifted samples left the bin grid at "
+                                     "(q=30, p=60) (limit 0.1%); widen the grid")
+    assert (0, 0) not in grid.failures
 
 
 def test_grid_all_points_failing_raises(vacuum_record):
@@ -429,8 +445,9 @@ def test_gnuplot_refuses_a_line_break(tmp_path, monkeypatch, kind, prefix):
     ("a\t", "b", "key cannot start or end with whitespace"),
     ("a", "b ", "value cannot start or end with whitespace"),
     ("a", "\x1cb", "value cannot start or end with whitespace"),
+    ("a", "b\x00c", "value cannot hold a NUL character"),
 ], ids=["value", "key", "key-leading-blank", "key-trailing-tab", "value-trailing-blank",
-        "value-leading-separator"])
+        "value-leading-separator", "value-nul"])
 def test_grid_meta_line_break_refused(tmp_path, key, value, match):
     grid = oracle_wigner_grid(vacuum_state(), [0.0], [0.0], 10)
     grid.meta[key] = value
@@ -442,12 +459,33 @@ def test_grid_meta_line_break_refused(tmp_path, key, value, match):
 def test_grid_failure_note_line_break_refused(tmp_path):
     for note, match in [("bad\n1 2 3 4 5 6 7", "failure note cannot hold a line break"),
                         ("note  ", "failure note cannot start or end with whitespace"),
-                        (" note", "failure note cannot start or end with whitespace")]:
+                        (" note", "failure note cannot start or end with whitespace"),
+                        ("a\x00b", "failure note cannot hold a NUL character")]:
         grid = oracle_wigner_grid(vacuum_state(), [0.0, 1.0], [0.0], 10)
         grid.failures[(0, 0)] = note
         with pytest.raises(ValidationError, match=match):
             save_wigner_grid(str(tmp_path / "g.txt"), grid)
         assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("key", [(5, 7), (0, -1), (0, 1), ("a", 0), (0.0, 0), (False, 0), "a",
+                                 (0, 0, 0)],
+                         ids=["off-grid", "negative", "past-p", "str-index", "float-index",
+                              "bool-index", "str", "triple"])
+def test_grid_failure_key_not_a_grid_point_refused(tmp_path, key):
+    # a 1x1 grid: off-grid keys would save a note its own reader refuses,
+    # and keys that are not pairs of ints would not sort or not reload
+    path = tmp_path / "g.txt"
+    grid = oracle_wigner_grid(vacuum_state(), [0.0], [0.0], 10)
+    save_wigner_grid(str(path), grid)
+    before = path.read_bytes()
+    grid.failures[key] = "note"
+    grid.failures[(0, 0)] = "another note"
+    with pytest.raises(ValidationError, match=r"failure key must be a point \(i, j\) of the "
+                                              r"1x1 grid, got " + re.escape(repr(key))):
+        save_wigner_grid(str(path), grid)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["g.txt"]
 
 
 def test_grid_meta_key_with_equals_refused(tmp_path):
